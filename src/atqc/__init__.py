@@ -11,7 +11,6 @@ from .catalog import (
     FamilyRow,
     TABLE1_FAMILIES,
     TABLE2_PAIRS,
-    asymptotic_rate,
     emit_curves,
     emit_tables,
     family_params,
@@ -46,7 +45,7 @@ from .homology import (
     homology_signature,
     mask_to_edges,
 )
-from .stabilizer import CssCode, build_css, export_checks, logical_basis, verify_stabilizers
+from .stabilizer import CssCode, build_css, export_checks, verify_stabilizers
 from .torus import (
     HexTorusSpec,
     SquareTorusSpec,

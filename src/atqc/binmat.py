@@ -54,9 +54,6 @@ class BinaryMatrix:
     def identity(cls, n: int) -> "BinaryMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    def row(self, i: int) -> int:
-        return self.data[i]
-
     def get(self, i: int, j: int) -> int:
         if not (0 <= j < self.cols):
             raise IndexError(j)
@@ -116,9 +113,6 @@ class BinaryMatrix:
 
     def rank(self) -> int:
         return RowBasis(self.data).rank
-
-    def row_basis(self) -> "RowBasis":
-        return RowBasis(self.data)
 
     def kernel_basis(self) -> list[int]:
         """Basis of {v : M v = 0}, vectors packed over the column index."""
@@ -197,10 +191,6 @@ def vector_from_bits(bits: Iterable[int]) -> int:
         if bit & 1:
             word |= 1 << j
     return word
-
-
-def vector_to_bits(v: int, width: int) -> list[int]:
-    return [(v >> j) & 1 for j in range(width)]
 
 
 def support(v: int) -> tuple[int, ...]:

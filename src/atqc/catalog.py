@@ -142,10 +142,6 @@ TABLE2_PAIRS: tuple[SchlafliPair, ...] = (
 )
 
 
-def asymptotic_rate(family: FamilyRow) -> Fraction:
-    return family.asymptotic_rate
-
-
 def fixed_pair_rate(pair: SchlafliPair) -> Fraction:
     """Limit of k/n = 2g/(c(g-1)) as g -> infinity for a fixed hyperbolic pair."""
     p, q = pair.p, pair.q
@@ -237,14 +233,17 @@ CURVE_COLUMNS = [
 
 
 def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[str]) -> None:
-    """Per-genus raw (unrounded) d_h/l ratios, ceilinged bounds, and rates."""
+    """Per-genus raw (unrounded) d_h/l ratios, ceilinged bounds, and rates.
+
+    Every row is computed before the header is written, so a pair that
+    fails leaves the sink empty.
+    """
     gs = sorted(set(g_range))
     if not gs:
         raise InputError("empty genus range")
     if gs[0] < 2 or gs[-1] > 64:
         raise InputError(f"genus range must lie within 2..64, got {gs[0]}..{gs[-1]}")
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
+    rows = []
     for pair in pairs:
         l_pq = edge_length(pair)
         l_qp = edge_length(pair.dual)
@@ -253,7 +252,7 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
             params = family_params(pair, g)
             dx_raw = d_h / l_pq
             dz_raw = d_h / l_qp
-            writer.writerow(
+            rows.append(
                 [
                     str(pair),
                     g,
@@ -269,6 +268,9 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
                     f"{params.rate.numerator}/{params.rate.denominator}",
                 ]
             )
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(CURVE_COLUMNS)
+    writer.writerows(rows)
 
 
 def first_genus_with_bounds(

@@ -19,6 +19,7 @@ complexes, which this package checks but does not generate.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 from .errors import ComplexError
@@ -37,6 +38,32 @@ def normalize_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
         for k in range(len(base)):
             candidates.append(base[k:] + base[:k])
     return min(candidates)
+
+
+@dataclass(eq=False)
+class ComplexIndex:
+    """The dense numbering of one complex, shared by every algebraic layer.
+
+    ``edge_ids`` is the dense edge order (ascending ids) and ``bit`` maps an
+    edge id to its bit position in every edge mask; ``slots`` maps an edge
+    to its two (face, position) slots in ascending order; ``face_masks`` and
+    ``star_masks`` are the Z2 face boundaries and vertex stars over that
+    order.  Validation builds these.  ``chain``, ``betti`` and ``bases`` are
+    filled on first use by :mod:`atqc.homology`; threads racing to fill one
+    compute equal values, so no lock is needed.  Nothing mutates what the
+    index hands out.
+    """
+
+    edge_ids: tuple[int, ...]
+    bit: dict[int, int]
+    vertex_ids: tuple[int, ...]
+    face_ids: tuple[int, ...]
+    slots: dict[int, list[tuple[int, int]]]
+    face_masks: dict[int, int]
+    star_masks: dict[int, int]
+    chain: object = None
+    betti: int | None = None
+    bases: tuple | None = None
 
 
 class SurfaceComplex:
@@ -75,16 +102,6 @@ class SurfaceComplex:
     def euler_characteristic(self) -> int:
         return self.num_vertices - self.num_edges + self.num_faces
 
-    def ends(self, edge: int) -> tuple[int, int]:
-        return self.edges[edge]
-
-    def cycle(self, face: int) -> tuple[int, ...]:
-        return self.faces[face]
-
-    def edge_index(self) -> dict[int, int]:
-        """Edge id -> dense column index, ascending by id."""
-        return {e: i for i, e in enumerate(sorted(self.edges))}
-
     def __repr__(self) -> str:
         return (
             f"SurfaceComplex(genus={self.genus}, V={self.num_vertices}, "
@@ -98,24 +115,36 @@ class SurfaceComplex:
             raise ComplexError(f"genus must be >= 1, got {self.genus}")
         if len(set(self.vertices)) != len(self.vertices):
             raise ComplexError("duplicate vertex ids")
-        vset = set(self.vertices)
+        edge_ids = tuple(sorted(self.edges))
+        bit = {e: i for i, e in enumerate(edge_ids)}
+        stars = {v: 0 for v in self.vertices}
         for e, (u, v) in self.edges.items():
-            if u not in vset or v not in vset:
+            if u not in stars or v not in stars:
                 raise ComplexError(f"edge {e} references unknown vertex")
-        slot_count: dict[int, int] = {e: 0 for e in self.edges}
-        for f, cyc in self.faces.items():
-            if not cyc:
+            if u != v:
+                stars[u] ^= 1 << bit[e]
+                stars[v] ^= 1 << bit[e]
+        face_ids = tuple(sorted(self.faces))
+        slots: dict[int, list[tuple[int, int]]] = {e: [] for e in edge_ids}
+        face_masks = {}
+        for f in face_ids:
+            if not self.faces[f]:
                 raise ComplexError(f"face {f} has an empty edge cycle")
-            for e in cyc:
-                if e not in self.edges:
+            mask = 0
+            for t, e in enumerate(self.faces[f]):
+                if e not in slots:
                     raise ComplexError(f"face {f} references unknown edge {e}")
-                slot_count[e] += 1
-        bad = [e for e, k in slot_count.items() if k != 2]
+                slots[e].append((f, t))
+                mask ^= 1 << bit[e]
+            face_masks[f] = mask
+        bad = [e for e, s in slots.items() if len(s) != 2]
         if bad:
-            e = min(bad)
             raise ComplexError(
-                f"edge {e} borders {slot_count[e]} face-slots, expected exactly 2"
+                f"edge {bad[0]} borders {len(slots[bad[0]])} face-slots, expected exactly 2"
             )
+        self.index = ComplexIndex(
+            edge_ids, bit, tuple(sorted(self.vertices)), face_ids, slots, face_masks, stars
+        )
         self._walks = {f: self._face_walk(f) for f in self.faces}
         if not self._connected():
             raise ComplexError("complex is not connected")
@@ -126,7 +155,7 @@ class SurfaceComplex:
                 f"(expected {2 - 2 * self.genus})"
             )
         self.degenerate_faces = tuple(
-            sorted(f for f, cyc in self.faces.items() if len(set(cyc)) < len(cyc))
+            f for f in face_ids if len(set(self.faces[f])) < len(self.faces[f])
         )
 
     def _face_walk(self, face: int) -> tuple[int, ...]:
@@ -173,11 +202,7 @@ class SurfaceComplex:
 
     def edge_slots(self) -> dict[int, list[tuple[int, int]]]:
         """Edge id -> the two (face, position) slots bordering it."""
-        slots: dict[int, list[tuple[int, int]]] = {e: [] for e in self.edges}
-        for f in sorted(self.faces):
-            for t, e in enumerate(self.faces[f]):
-                slots[e].append((f, t))
-        return slots
+        return self.index.slots
 
     def face_walk(self, face: int) -> tuple[int, ...]:
         return self._walks[face]
@@ -197,7 +222,7 @@ def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
     reconstructed from the face walks; a vertex whose link is not a single
     cycle means the input was not a closed surface and is rejected.
     """
-    slots = c.edge_slots()
+    slots = c.index.slots
     # corner matching M1 and edge-side matching M2 on slot-end instances
     instance_vertex: dict[tuple[int, int, int], int] = {}
     m1: dict[tuple[int, int, int], tuple[int, int, int]] = {}
@@ -259,7 +284,7 @@ def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
         dual_edges[e] = (f1, f2)
     return SurfaceComplex(
         genus=c.genus,
-        vertices=sorted(c.faces),
+        vertices=c.index.face_ids,
         edges=dual_edges,
         faces=dual_faces,
         label=f"dual({c.label})" if c.label else "dual",
@@ -275,11 +300,11 @@ def complex_to_dict(c: SurfaceComplex) -> dict:
     return {
         "genus": c.genus,
         "label": c.label,
-        "vertices": sorted(c.vertices),
-        "edges": [{"id": e, "ends": list(c.edges[e])} for e in sorted(c.edges)],
+        "vertices": list(c.index.vertex_ids),
+        "edges": [{"id": e, "ends": list(c.edges[e])} for e in c.index.edge_ids],
         "faces": [
             {"id": f, "edge_cycle": list(normalize_cycle(c.faces[f]))}
-            for f in sorted(c.faces)
+            for f in c.index.face_ids
         ],
     }
 
@@ -325,6 +350,8 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         fid = _as_id(item["id"], "face id")
         if fid in faces:
             raise ComplexError(f"duplicate face id {fid}")
+        if not isinstance(item["edge_cycle"], list):
+            raise ComplexError(f"face {fid} edge_cycle must be a list")
         faces[fid] = tuple(_as_id(e, "face edge") for e in item["edge_cycle"])
     return SurfaceComplex(
         genus=genus,

@@ -19,11 +19,12 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
-from .binmat import RowBasis, support
+from .binmat import RowBasis
 from .complexes import SurfaceComplex, dual_complex
 from .errors import DiscrepancyError, InputError, IntegrityError
-from .homology import betti1, cocycle_basis, homology_signature, is_cycle
+from .homology import betti1, cocycle_basis, homology_signature, is_cycle, mask_to_edges
 from .stabilizer import CssCode, build_css
 
 DEFAULT_ORACLE_CEILING = 30
@@ -52,21 +53,23 @@ def oracle_ceiling_from_env(default: int = DEFAULT_ORACLE_CEILING) -> int:
         raise InputError(f"ATQC_ORACLE_CEILING must be an integer, got {raw!r}") from exc
 
 
-def shortest_nontrivial_cycle(c: SurfaceComplex, basis: list[int] | None = None) -> tuple[int, int]:
+def shortest_nontrivial_cycle(
+    c: SurfaceComplex, basis: Sequence[int] | None = None
+) -> tuple[int, int]:
     """(weight, witness mask) of the shortest homologically nontrivial cycle."""
     two_g = betti1(c)
     if two_g == 0:
         raise InputError("complex has trivial first homology; no nontrivial cycle exists")
     if basis is None:
         basis = cocycle_basis(c)
-    edge_ids = sorted(c.edges)
+    ix = c.index
     sig_delta = []
-    for i, _ in enumerate(edge_ids):
+    for i in range(len(ix.edge_ids)):
         bit = 1 << i
         sig_delta.append(sum(1 << j for j, coc in enumerate(basis) if coc & bit))
-    vindex = {v: i for i, v in enumerate(sorted(c.vertices))}
+    vindex = {v: i for i, v in enumerate(ix.vertex_ids)}
     adjacency: list[list[tuple[int, int]]] = [[] for _ in vindex]
-    for i, e in enumerate(edge_ids):
+    for i, e in enumerate(ix.edge_ids):
         u, v = c.edges[e]
         adjacency[vindex[u]].append((i, vindex[v]))
         if u != v:
@@ -123,13 +126,11 @@ def code_distances(c: SurfaceComplex) -> DistanceResult:
     d_x, wx = shortest_nontrivial_cycle(c)
     dual = dual_complex(c)
     d_z, wz = shortest_nontrivial_cycle(dual)
-    edge_order = sorted(c.edges)
-    dual_order = sorted(dual.edges)
     return DistanceResult(
         d_x=d_x,
         d_z=d_z,
-        witness_x=tuple(edge_order[i] for i in support(wx)),
-        witness_z=tuple(dual_order[i] for i in support(wz)),
+        witness_x=mask_to_edges(c, wx),
+        witness_z=mask_to_edges(dual, wz),
         method=SEARCH,
     )
 

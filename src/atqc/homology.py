@@ -1,8 +1,11 @@
 """Z2 chain-complex machinery for surface complexes.
 
-Edge sets are packed as integers over the dense edge index (sorted edge
-ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the boundary.
-The cocycle basis comes from the tree/co-tree construction: a spanning
+Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
+Edge sets are packed as integers over its dense edge order (ascending
+edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
+boundary.  The boundary operators, the Betti number and the homology bases
+are computed on first use, checked once, and cached on that index.
+The bases come from the tree/co-tree construction: a spanning
 tree of the primal graph plus a spanning tree of the dual graph on the
 remaining edges leave exactly 2g edges; each leftover edge closes one
 primal cycle (through the tree) and one dual cycle (through the co-tree),
@@ -19,39 +22,26 @@ from .errors import IntegrityError, InputError
 
 
 def edges_to_mask(c: SurfaceComplex, edge_ids: Iterable[int]) -> int:
-    idx = c.edge_index()
+    bit = c.index.bit
     mask = 0
     for e in edge_ids:
-        mask ^= 1 << idx[e]
+        mask ^= 1 << bit[e]
     return mask
 
 
 def mask_to_edges(c: SurfaceComplex, mask: int) -> tuple[int, ...]:
-    order = sorted(c.edges)
+    order = c.index.edge_ids
     return tuple(order[i] for i in support(mask))
 
 
 def face_boundary_masks(c: SurfaceComplex) -> dict[int, int]:
     """Face id -> Z2 boundary (edge multiplicities mod 2)."""
-    idx = c.edge_index()
-    out = {}
-    for f in sorted(c.faces):
-        mask = 0
-        for e in c.faces[f]:
-            mask ^= 1 << idx[e]
-        out[f] = mask
-    return out
+    return c.index.face_masks
 
 
 def vertex_star_masks(c: SurfaceComplex) -> dict[int, int]:
     """Vertex id -> edges with that vertex as an endpoint an odd number of times."""
-    idx = c.edge_index()
-    out = {v: 0 for v in c.vertices}
-    for e, (u, v) in c.edges.items():
-        if u != v:
-            out[u] ^= 1 << idx[e]
-            out[v] ^= 1 << idx[e]
-    return out
+    return c.index.star_masks
 
 
 @dataclass(frozen=True)
@@ -71,23 +61,31 @@ class ChainComplexZ2:
 
 
 def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
-    face_rows = face_boundary_masks(c)
-    star_rows = vertex_star_masks(c)
-    face_ids = tuple(sorted(c.faces))
-    vertex_ids = tuple(sorted(c.vertices))
-    edge_ids = tuple(sorted(c.edges))
-    d2 = BinaryMatrix(len(face_ids), len(edge_ids), [face_rows[f] for f in face_ids]).transpose()
-    d1 = BinaryMatrix(len(vertex_ids), len(edge_ids), [star_rows[v] for v in vertex_ids])
-    prod = d1 @ d2
-    if not prod.is_zero():
-        raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
-    return ChainComplexZ2(d2=d2, d1=d1, vertex_ids=vertex_ids, edge_ids=edge_ids, face_ids=face_ids)
+    ix = c.index
+    if ix.chain is None:
+        n = len(ix.edge_ids)
+        d2 = BinaryMatrix(len(ix.face_ids), n, [ix.face_masks[f] for f in ix.face_ids]).transpose()
+        d1 = BinaryMatrix(len(ix.vertex_ids), n, [ix.star_masks[v] for v in ix.vertex_ids])
+        if not (d1 @ d2).is_zero():
+            raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
+        ix.chain = ChainComplexZ2(
+            d2=d2, d1=d1, vertex_ids=ix.vertex_ids, edge_ids=ix.edge_ids, face_ids=ix.face_ids
+        )
+    return ix.chain
+
+
+def _betti_number(c: SurfaceComplex) -> int:
+    """|E| - rank(d1) - rank(d2), unchecked; the two ranks are taken once."""
+    ix = c.index
+    if ix.betti is None:
+        cc = boundary_matrices(c)
+        ix.betti = len(cc.edge_ids) - cc.d1.rank() - cc.d2.rank()
+    return ix.betti
 
 
 def betti1(c: SurfaceComplex) -> int:
     """dim ker(d1) - rank(d2); must equal 2 * genus for a valid complex."""
-    cc = boundary_matrices(c)
-    value = (len(cc.edge_ids) - cc.d1.rank()) - cc.d2.rank()
+    value = _betti_number(c)
     if value != 2 * c.genus:
         raise IntegrityError(
             f"betti1 = {value} but genus {c.genus} demands {2 * c.genus}; "
@@ -96,19 +94,9 @@ def betti1(c: SurfaceComplex) -> int:
     return value
 
 
-def _tree_cotree(c: SurfaceComplex):
-    """Spanning tree, dual co-tree, and the 2g leftover edge ids."""
-    # primal spanning tree (BFS, edges in ascending id order)
-    incidence: dict[int, list[tuple[int, int]]] = {v: [] for v in c.vertices}
-    for e in sorted(c.edges):
-        u, v = c.edges[e]
-        if u == v:
-            continue
-        incidence[u].append((e, v))
-        incidence[v].append((e, u))
-    root = min(c.vertices)
-    tree: set[int] = set()
-    parent_edge: dict[int, tuple[int, int]] = {}  # vertex -> (edge, parent vertex)
+def _bfs_parents(incidence: dict, root: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first spanning tree as node -> (edge, parent node)."""
+    parent: dict[int, tuple[int, int]] = {}
     frontier = [root]
     seen = {root}
     while frontier:
@@ -117,87 +105,74 @@ def _tree_cotree(c: SurfaceComplex):
             for e, w in incidence[u]:
                 if w not in seen:
                     seen.add(w)
-                    tree.add(e)
-                    parent_edge[w] = (e, u)
+                    parent[w] = (e, u)
                     nxt.append(w)
         frontier = nxt
-    if len(seen) != c.num_vertices:
+    return parent
+
+
+def _tree_cotree(c: SurfaceComplex):
+    """Tree parents, dual co-tree parents, and the 2g leftover edge ids."""
+    # primal spanning tree (BFS, edges in ascending id order)
+    ix = c.index
+    incidence: dict[int, list[tuple[int, int]]] = {v: [] for v in c.vertices}
+    for e in ix.edge_ids:
+        u, v = c.edges[e]
+        if u != v:
+            incidence[u].append((e, v))
+            incidence[v].append((e, u))
+    parent_edge = _bfs_parents(incidence, ix.vertex_ids[0])
+    if len(parent_edge) != c.num_vertices - 1:
         raise IntegrityError("primal graph is not connected")
+    tree = {e for e, _ in parent_edge.values()}
 
     # dual spanning tree on the remaining edges
-    slots = c.edge_slots()
     dual_incidence: dict[int, list[tuple[int, int]]] = {f: [] for f in c.faces}
-    for e in sorted(c.edges):
-        if e in tree:
-            continue
-        (f1, _), (f2, _) = slots[e]
-        if f1 == f2:
-            continue
-        dual_incidence[f1].append((e, f2))
-        dual_incidence[f2].append((e, f1))
-    droot = min(c.faces)
-    cotree: set[int] = set()
-    dual_parent: dict[int, tuple[int, int]] = {}
-    frontier = [droot]
-    dseen = {droot}
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for e, g in dual_incidence[f]:
-                if g not in dseen:
-                    dseen.add(g)
-                    cotree.add(e)
-                    dual_parent[g] = (e, f)
-                    nxt.append(g)
-        frontier = nxt
-    if len(dseen) != c.num_faces:
+    for e in ix.edge_ids:
+        (f1, _), (f2, _) = ix.slots[e]
+        if e not in tree and f1 != f2:
+            dual_incidence[f1].append((e, f2))
+            dual_incidence[f2].append((e, f1))
+    dual_parent = _bfs_parents(dual_incidence, ix.face_ids[0])
+    if len(dual_parent) != c.num_faces - 1:
         raise IntegrityError("dual graph minus the spanning tree is not connected")
+    cotree = {e for e, _ in dual_parent.values()}
 
-    leftover = sorted(set(c.edges) - tree - cotree)
+    leftover = [e for e in ix.edge_ids if e not in tree and e not in cotree]
     if len(leftover) != 2 * c.genus:
         raise IntegrityError(
             f"tree/co-tree leaves {len(leftover)} edges, expected {2 * c.genus}"
         )
-    return tree, parent_edge, cotree, dual_parent, leftover
+    return parent_edge, dual_parent, leftover
 
 
-def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[list[int], list[int]]:
-    """Paired bases: 2g primal cycles and 2g cocycles with identity pairing."""
-    _, parent_edge, _, dual_parent, leftover = _tree_cotree(c)
-    idx = c.edge_index()
+def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Paired bases: 2g primal cycles and 2g cocycles with identity pairing.
 
-    def tree_path(v: int) -> int:
+    Built and checked once per complex: every cocycle must vanish on every
+    face boundary and the pairing matrix must be the identity.
+    """
+    ix = c.index
+    if ix.bases is not None:
+        return ix.bases
+    parent_edge, dual_parent, leftover = _tree_cotree(c)
+
+    def path_mask(x: int, parent: dict[int, tuple[int, int]]) -> int:
         mask = 0
-        while v in parent_edge:
-            e, v = parent_edge[v]
-            mask ^= 1 << idx[e]
+        while x in parent:
+            e, x = parent[x]
+            mask ^= 1 << ix.bit[e]
         return mask
 
-    def cotree_path(f: int) -> int:
-        mask = 0
-        while f in dual_parent:
-            e, f = dual_parent[f]
-            mask ^= 1 << idx[e]
-        return mask
-
-    slots = c.edge_slots()
     cycles = []
     cocycles = []
     for x in leftover:
         u, v = c.edges[x]
-        cycles.append((1 << idx[x]) ^ tree_path(u) ^ tree_path(v))
-        (f1, _), (f2, _) = slots[x]
-        cocycles.append((1 << idx[x]) ^ cotree_path(f1) ^ cotree_path(f2))
-    return cycles, cocycles
-
-
-def cocycle_basis(c: SurfaceComplex) -> list[int]:
-    """2g edge sets that vanish on boundaries and induce a basis dual to H1."""
-    betti1(c)
-    cycles, cocycles = cycle_cocycle_bases(c)
-    faces = face_boundary_masks(c)
+        cycles.append((1 << ix.bit[x]) ^ path_mask(u, parent_edge) ^ path_mask(v, parent_edge))
+        (f1, _), (f2, _) = ix.slots[x]
+        cocycles.append((1 << ix.bit[x]) ^ path_mask(f1, dual_parent) ^ path_mask(f2, dual_parent))
     for k, coc in enumerate(cocycles):
-        bad = [f for f, b in faces.items() if parity(b & coc)]
+        bad = [f for f, b in ix.face_masks.items() if parity(b & coc)]
         if bad:
             raise IntegrityError(
                 f"cocycle {k} meets face {bad[0]} boundary an odd number of times"
@@ -206,11 +181,18 @@ def cocycle_basis(c: SurfaceComplex) -> list[int]:
         for j, coc in enumerate(cocycles):
             if parity(cyc & coc) != (1 if i == j else 0):
                 raise IntegrityError("cycle/cocycle pairing matrix is not the identity")
-    return cocycles
+    ix.bases = (tuple(cycles), tuple(cocycles))
+    return ix.bases
+
+
+def cocycle_basis(c: SurfaceComplex) -> tuple[int, ...]:
+    """2g edge sets that vanish on boundaries and induce a basis dual to H1."""
+    betti1(c)
+    return cycle_cocycle_bases(c)[1]
 
 
 def is_cycle(c: SurfaceComplex, mask: int) -> bool:
-    return all(parity(star & mask) == 0 for star in vertex_star_masks(c).values())
+    return all(parity(star & mask) == 0 for star in c.index.star_masks.values())
 
 
 def homology_signature(c: SurfaceComplex, cycle: int, basis: Sequence[int] | None = None) -> int:

@@ -16,7 +16,7 @@ from typing import IO
 from .binmat import BinaryMatrix, parity, support
 from .complexes import SurfaceComplex
 from .errors import IntegrityError, InputError
-from .homology import boundary_matrices, cycle_cocycle_bases
+from .homology import _betti_number, boundary_matrices, cycle_cocycle_bases
 
 ALIST = "alist"
 DENSE_TEXT = "dense-text"
@@ -56,18 +56,12 @@ def build_css(c: SurfaceComplex) -> CssCode:
     """Face checks from d2^T, vertex checks from d1, logicals from tree/co-tree."""
     cc = boundary_matrices(c)
     hx = cc.d2.transpose()
-    hz = cc.d1
-    n = len(cc.edge_ids)
-    k = n - hx.rank() - hz.rank()
+    k = _betti_number(c)  # rank(hx) = rank(d2), rank(hz) = rank(d1)
     if k != 2 * c.genus:
         raise IntegrityError(
             f"k = n - rank(hx) - rank(hz) = {k}, but genus {c.genus} demands {2 * c.genus}"
         )
     cycles, cocycles = cycle_cocycle_bases(c)
-    for i, cyc in enumerate(cycles):
-        for j, coc in enumerate(cocycles):
-            if parity(cyc & coc) != (1 if i == j else 0):
-                raise IntegrityError("logical symplectic pairing is not the identity")
     warnings = []
     zero_rows = [f for f, row in zip(cc.face_ids, hx.data) if row == 0]
     if zero_rows:
@@ -75,13 +69,13 @@ def build_css(c: SurfaceComplex) -> CssCode:
             f"degenerate complex: face(s) {zero_rows} have zero X-check rows"
         )
     return CssCode(
-        n=n,
+        n=len(cc.edge_ids),
         k=k,
         genus=c.genus,
         hx=hx,
-        hz=hz,
-        logical_x=tuple(cycles),
-        logical_z=tuple(cocycles),
+        hz=cc.d1,
+        logical_x=cycles,
+        logical_z=cocycles,
         edge_ids=cc.edge_ids,
         vertex_ids=cc.vertex_ids,
         face_ids=cc.face_ids,
@@ -90,19 +84,12 @@ def build_css(c: SurfaceComplex) -> CssCode:
     )
 
 
-def logical_basis(code: CssCode) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return code.logical_x, code.logical_z
-
-
 @dataclass(frozen=True)
 class StabilizerReport:
     n: int
     k: int
     independent_generators: int
     expected_generators: int
-    commutes: bool
-    x_product_trivial: bool
-    z_product_trivial: bool
 
 
 def verify_stabilizers(code: CssCode) -> StabilizerReport:
@@ -135,9 +122,6 @@ def verify_stabilizers(code: CssCode) -> StabilizerReport:
         k=code.k,
         independent_generators=independent,
         expected_generators=expected,
-        commutes=True,
-        x_product_trivial=True,
-        z_product_trivial=True,
     )
 
 

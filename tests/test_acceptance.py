@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from atqc.catalog import (
     TABLE1_FAMILIES,
-    asymptotic_rate,
     emit_curves,
     family_params,
     fixed_pair_rate,
@@ -328,7 +327,7 @@ def test_criterion_8_family_formulas():
     stated_family_rates = {3: "1/3", 4: "1/2", 5: "3/5", 6: "2/3"}
     for q, text in stated_family_rates.items():
         crit.check(
-            asymptotic_rate(TABLE1_FAMILIES[q]) == Fraction(text),
+            TABLE1_FAMILIES[q].asymptotic_rate == Fraction(text),
             f"{{p,{q}}} asymptotic rate",
         )
     stated_pair_rates = ["1/21", "1/12", "1/9", "2/15", "1/6", "1/10", "1/6", "1/4", "2/5"]

@@ -7,7 +7,6 @@ import pytest
 from atqc.catalog import (
     TABLE1_FAMILIES,
     TABLE2_PAIRS,
-    asymptotic_rate,
     emit_curves,
     emit_tables,
     family_params,
@@ -53,10 +52,10 @@ def test_family_params_infeasible():
 
 
 def test_family_asymptotic_rates():
-    assert asymptotic_rate(TABLE1_FAMILIES[3]) == Fraction(1, 3)
-    assert asymptotic_rate(TABLE1_FAMILIES[4]) == Fraction(1, 2)
-    assert asymptotic_rate(TABLE1_FAMILIES[5]) == Fraction(3, 5)
-    assert asymptotic_rate(TABLE1_FAMILIES[6]) == Fraction(2, 3)
+    assert TABLE1_FAMILIES[3].asymptotic_rate == Fraction(1, 3)
+    assert TABLE1_FAMILIES[4].asymptotic_rate == Fraction(1, 2)
+    assert TABLE1_FAMILIES[5].asymptotic_rate == Fraction(3, 5)
+    assert TABLE1_FAMILIES[6].asymptotic_rate == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("pq,rate", sorted(FIXED_PAIR_RATES.items()))

@@ -130,6 +130,14 @@ def test_curves_csv(tmp_path):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_curves_failing_pair_writes_nothing():
+    # {7,3} is valid, {6,3} is not: no header or {7,3} rows may escape first
+    proc = run_cli("curves", "--pair", "7,3", "--pair", "6,3", "--g-from", "2", "--g-to", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "euclidean" in proc.stderr
+
+
 def test_curves_requires_pair():
     assert run_cli("curves").returncode == 2
 

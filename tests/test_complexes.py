@@ -78,6 +78,11 @@ def test_wrong_typed_fields_rejected():
     doc["vertices"] = 4
     with pytest.raises(ComplexError, match="list"):
         complex_from_dict(doc)
+    for cycle in (5, None):
+        doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
+        doc["faces"][0]["edge_cycle"] = cycle
+        with pytest.raises(ComplexError, match="edge_cycle must be a list"):
+            complex_from_dict(doc)
     doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
     doc["faces"] = {"0": []}
     with pytest.raises(ComplexError, match="list"):

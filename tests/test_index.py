@@ -1,0 +1,141 @@
+"""The per-complex index against a recomputation that does not use it.
+
+Every reference value below is rebuilt from ``c.edges``/``c.faces`` alone,
+with formulas that differ from the index's own (counts mod 2 instead of
+running XORs, a scan of every face slot instead of one pass per face).
+"""
+import random
+import sys
+import threading
+
+import pytest
+
+from atqc.binmat import BinaryMatrix
+from atqc.complexes import dual_complex
+from atqc.homology import (
+    betti1,
+    boundary_matrices,
+    cocycle_basis,
+    cycle_cocycle_bases,
+    edges_to_mask,
+    face_boundary_masks,
+    mask_to_edges,
+    vertex_star_masks,
+)
+from atqc.stabilizer import build_css
+from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+from test_irregular import merge_across, one_vertex_torus
+
+
+def merged_complexes():
+    """The merged complexes test_irregular.py checks, in the same order."""
+    out = [merge_across(build_square_torus(SquareTorusSpec(3)), e) for e in (0, 4, 9, 13)]
+    out += [merge_across(build_hex_torus(HexTorusSpec("apothem", 2)), e) for e in (0, 5, 11)]
+    rng = random.Random(41)
+    bases = [
+        lambda: build_square_torus(SquareTorusSpec(3)),
+        lambda: build_hex_torus(HexTorusSpec("apothem", 2)),
+        lambda: build_hex_torus(HexTorusSpec("edge", 3)),
+    ]
+    for _ in range(12):
+        c = rng.choice(bases)()
+        for _ in range(rng.randint(1, 2)):
+            candidates = [e for e, s in c.edge_slots().items() if s[0][0] != s[1][0]]
+            c = merge_across(c, rng.choice(candidates))
+        out.append(c)
+    return out
+
+
+@pytest.fixture(scope="module")
+def complexes(corpus):
+    extra = [one_vertex_torus(), build_hex_torus(HexTorusSpec("apothem", 1))]
+    return corpus + extra + merged_complexes()
+
+
+def test_index_equals_recomputation(complexes):
+    for c in complexes:
+        ix = c.index
+        order = sorted(c.edges)
+        assert ix.edge_ids == tuple(order), c.label
+        assert ix.bit == {e: order.index(e) for e in c.edges}
+        assert ix.vertex_ids == tuple(sorted(c.vertices))
+        assert ix.face_ids == tuple(sorted(c.faces))
+        slots = {
+            e: sorted((f, t) for f, cyc in c.faces.items() for t, x in enumerate(cyc) if x == e)
+            for e in c.edges
+        }
+        assert ix.slots == slots
+        assert list(ix.slots) == order
+        faces = {
+            f: sum(1 << order.index(e) for e in set(cyc) if cyc.count(e) % 2)
+            for f, cyc in c.faces.items()
+        }
+        assert face_boundary_masks(c) == faces
+        assert list(face_boundary_masks(c)) == sorted(c.faces)
+        stars = {
+            v: sum(1 << order.index(e) for e, ends in c.edges.items() if ends.count(v) % 2)
+            for v in c.vertices
+        }
+        assert vertex_star_masks(c) == stars
+        every = (1 << len(order)) - 1
+        assert edges_to_mask(c, order) == every
+        assert mask_to_edges(c, every) == tuple(order)
+
+
+def test_dual_shares_the_edge_order(complexes):
+    for c in complexes:
+        assert dual_complex(c).index.edge_ids == c.index.edge_ids
+
+
+def test_algebra_is_cached_on_the_index(complexes):
+    for c in complexes:
+        assert boundary_matrices(c) is boundary_matrices(c)
+        assert cocycle_basis(c) is cocycle_basis(c)
+        assert cycle_cocycle_bases(c)[1] is cocycle_basis(c)
+        code = build_css(c)
+        assert code.hz is boundary_matrices(c).d1
+        assert code.logical_z is cocycle_basis(c)
+
+
+def test_ranks_are_taken_once_per_complex(monkeypatch):
+    calls = []
+    rank = BinaryMatrix.rank
+
+    def counting_rank(self):
+        calls.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(BinaryMatrix, "rank", counting_rank)
+    c = build_square_torus(SquareTorusSpec(4))
+    assert betti1(c) == betti1(c) == 2
+    assert build_css(c).k == 2
+    cocycle_basis(c)
+    assert len(calls) == 2
+
+
+def test_racing_threads_fill_equal_values():
+    # more threads than cores, switching as often as the interpreter allows
+    reference = build_hex_torus(HexTorusSpec("apothem", 3))
+    expected = (boundary_matrices(reference).d2, betti1(reference), cycle_cocycle_bases(reference))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            c = build_hex_torus(HexTorusSpec("apothem", 3))
+            results = []
+            start = threading.Barrier(8)
+
+            def work():
+                start.wait(timeout=10)
+                results.append((boundary_matrices(c).d2, betti1(c), cycle_cocycle_bases(c)))
+
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert results == [expected] * 8
+            assert cycle_cocycle_bases(c) == expected[2]
+    finally:
+        sys.setswitchinterval(interval)

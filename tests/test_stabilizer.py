@@ -10,7 +10,6 @@ from atqc.stabilizer import (
     CssCode,
     build_css,
     export_checks,
-    logical_basis,
     read_alist,
     read_dense_text,
     verify_stabilizers,
@@ -112,7 +111,7 @@ def test_dual_covariance(corpus):
 def test_logical_bases(corpus):
     for c in corpus:
         code = build_css(c)
-        lx, lz = logical_basis(code)
+        lx, lz = code.logical_x, code.logical_z
         assert len(lx) == len(lz) == 2 * c.genus
         basis = cocycle_basis(c)
         for x in lx:
