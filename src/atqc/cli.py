@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
-from typing import IO
+import tempfile
+from functools import partial
+from typing import IO, Callable
 
 from .catalog import emit_curves, emit_tables, family_params
 from .complexes import load_complex, save_complex
@@ -38,25 +41,27 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _open_source(path: str) -> IO[str]:
-    if path == "-":
-        return sys.stdin
-    return open(path, "r", encoding="utf-8")
-
-
-def _open_sink(path: str | None) -> IO[str]:
+def _deliver(path: str | None, render: Callable[[IO[str]], object]) -> int:
+    """Stream to stdout, or render into an unnamed temporary file and open
+    --out (truncating it) only once rendering succeeded."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        render(sys.stdout)
+        return EXIT_OK
+    with tempfile.TemporaryFile() as tmp:
+        # write-only text layer: over a readable one, each write resets a decoder
+        with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as text:
+            render(text)
+        tmp.seek(0)
+        with open(path, "wb") as sink:
+            shutil.copyfileobj(tmp, sink)
+    return EXIT_OK
 
 
 def _load(path: str):
-    src = _open_source(path)
-    try:
+    if path == "-":
+        return load_complex(sys.stdin)
+    with open(path, "r", encoding="utf-8") as src:
         return load_complex(src)
-    finally:
-        if src is not sys.stdin:
-            src.close()
 
 
 def _distance_doc(result: DistanceResult) -> dict:
@@ -91,13 +96,7 @@ def cmd_build(args) -> int:
         c = build_hex_torus(HexTorusSpec("apothem", args.hex_apothem))
     else:
         c = build_hex_torus(HexTorusSpec("edge", args.hex_edge))
-    sink = _open_sink(args.out)
-    try:
-        save_complex(c, sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    return EXIT_OK
+    return _deliver(args.out, partial(save_complex, c))
 
 
 def cmd_check(args) -> int:
@@ -134,23 +133,11 @@ def cmd_distance(args) -> int:
 def cmd_export(args) -> int:
     c = _load(args.file)
     code = build_css(c)
-    sink = _open_sink(args.out)
-    try:
-        export_checks(code, args.format, sink, matrix=args.matrix)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    return EXIT_OK
+    return _deliver(args.out, partial(export_checks, code, args.format, matrix=args.matrix))
 
 
 def cmd_table(args) -> int:
-    sink = _open_sink(args.out)
-    try:
-        emit_tables(sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    return EXIT_OK
+    return _deliver(args.out, emit_tables)
 
 
 def _parse_pair(text: str) -> SchlafliPair:
@@ -165,13 +152,7 @@ def cmd_curves(args) -> int:
     pairs = [_parse_pair(text) for text in args.pair]
     if not pairs:
         raise InputError("at least one --pair is required")
-    sink = _open_sink(args.out)
-    try:
-        emit_curves(pairs, range(args.g_from, args.g_to + 1), sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
-    return EXIT_OK
+    return _deliver(args.out, partial(emit_curves, pairs, range(args.g_from, args.g_to + 1)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,12 +2,26 @@
 
 Two independent routes:
 
-* :func:`shortest_nontrivial_cycle` runs a breadth-first search over the
-  product of the graph with the Z2^{2g} signature space: traversing an
-  edge flips the bits of the cocycles containing it, and the shortest
-  closed walk returning to its start with a nonzero signature is the
-  distance (a minimal such walk never repeats an edge, so walk length
-  equals cycle weight).
+* :func:`shortest_nontrivial_cycle` searches the Horton set.  From each
+  root x it grows one breadth-first (so shortest-path) tree, each vertex
+  carrying the 2g-bit homology signature of its tree path (its pairings
+  with the cocycle basis).  A non-tree edge e = (u, w) closes the
+  fundamental cycle P(x,u) + e + P(x,w), nontrivial iff
+  sig(u) ^ sig(w) ^ sig(e) != 0.  The minimum over all roots is exact:
+  take a shortest nontrivial cycle C, of weight L, and a root x on C.  C
+  is the Z2 sum of the fundamental cycles of its non-tree edges (the rest
+  would be a cycle inside a tree) and signatures add, so some non-tree
+  edge (u, w) of C closes a nontrivial one; walking C from x either way
+  reaches u and w in a and L - 1 - a steps, so that candidate's walk has
+  dist(x,u) + dist(x,w) + 1 <= L edges.  XOR-ing two tree paths that
+  share a prefix drops the shared edges twice: what is left is a cycle of
+  the same class (each dropped edge meets every cocycle twice) and no
+  heavier than the walk, so it cannot hurt, and nothing undercuts L.  A
+  root stops at depth d once 2d + 1 >= best, since every edge met later
+  closes a walk that long; a witness mask is built only when a walk beats
+  the best.  Cost O(V * E), O(V) state per root, no 2^(2g) factor.  Roots
+  go in ascending vertex order and edges in ascending dense index, so
+  witnesses are deterministic.  d_x runs on the complex, d_z on its dual.
 * :func:`oracle_distances` exhaustively enumerates ker(hz) (organized as
   cosets of rowspace(hx), walked in Gray-code order) and takes the
   minimum weight outside the stabilizer row space.  It is the ground
@@ -17,11 +31,10 @@ Two independent routes:
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .binmat import RowBasis
+from .binmat import RowBasis, support
 from .complexes import SurfaceComplex, dual_complex
 from .errors import DiscrepancyError, InputError, IntegrityError
 from .homology import betti1, cocycle_basis, homology_signature, is_cycle, mask_to_edges
@@ -63,10 +76,10 @@ def shortest_nontrivial_cycle(
     if basis is None:
         basis = cocycle_basis(c)
     ix = c.index
-    sig_delta = []
-    for i in range(len(ix.edge_ids)):
-        bit = 1 << i
-        sig_delta.append(sum(1 << j for j, coc in enumerate(basis) if coc & bit))
+    sig_delta = [0] * len(ix.edge_ids)
+    for j, coc in enumerate(basis):
+        for i in support(coc):
+            sig_delta[i] |= 1 << j
     vindex = {v: i for i, v in enumerate(ix.vertex_ids)}
     adjacency: list[list[tuple[int, int]]] = [[] for _ in vindex]
     for i, e in enumerate(ix.edge_ids):
@@ -75,44 +88,43 @@ def shortest_nontrivial_cycle(
         if u != v:
             adjacency[vindex[v]].append((i, vindex[u]))
 
-    n_states = len(vindex) << two_g
-    best_weight = None
+    n_v = len(vindex)
+    best_weight = len(ix.edge_ids) + 1  # heavier than any cycle
     best_witness = None
-    for start in range(len(vindex)):
-        dist = [-1] * n_states
-        parent = [(-1, -1)] * n_states  # (previous state, edge index)
-        s0 = start << two_g
-        dist[s0] = 0
-        queue = deque([s0])
-        while queue:
-            state = queue.popleft()
-            d = dist[state]
-            if best_weight is not None and d + 1 > best_weight:
-                break
-            v, sig = state >> two_g, state & ((1 << two_g) - 1)
-            for eidx, w in adjacency[v]:
-                nxt = (w << two_g) | (sig ^ sig_delta[eidx])
-                if dist[nxt] == -1:
-                    dist[nxt] = d + 1
-                    parent[nxt] = (state, eidx)
-                    queue.append(nxt)
-        for sig in range(1, 1 << two_g):
-            state = (start << two_g) | sig
-            d = dist[state]
-            if d == -1 or (best_weight is not None and d >= best_weight):
-                continue
-            # XOR of the walk edges: a repeated bridge edge cancels, leaving a
-            # (possibly lighter) nontrivial cycle, still a valid candidate
-            mask = 0
-            cur = state
-            while cur != s0:
-                cur, eidx = parent[cur]
-                mask ^= 1 << eidx
-            weight = mask.bit_count()
-            if best_weight is None or weight < best_weight:
-                best_weight = weight
-                best_witness = mask
-    if best_weight is None:
+    for root in range(n_v):
+        depth = [-1] * n_v
+        sig = [0] * n_v  # homology signature of the tree path from the root
+        up_edge = [-1] * n_v
+        up_vertex = [-1] * n_v
+        depth[root] = 0
+        frontier = [root]
+        d = 0
+        # an edge first met at depth d closes a walk of at least 2d + 1 edges
+        while frontier and 2 * d + 1 < best_weight:
+            nxt = []
+            for u in frontier:
+                su = sig[u]
+                for eidx, w in adjacency[u]:
+                    dw = depth[w]
+                    if dw < 0:
+                        depth[w] = d + 1
+                        sig[w] = su ^ sig_delta[eidx]
+                        up_edge[w], up_vertex[w] = eidx, u
+                        nxt.append(w)
+                    # a non-tree edge closes a fundamental cycle; an edge back to a
+                    # shallower vertex is u's tree edge or was met from that end
+                    elif dw >= d and d + dw + 1 < best_weight and su ^ sig[w] ^ sig_delta[eidx]:
+                        # the tree paths may share a prefix, which XOR cancels, so
+                        # the mask is no heavier than its walk: strictly lighter
+                        best_witness = 1 << eidx
+                        for x in (u, w):
+                            while up_edge[x] >= 0:
+                                best_witness ^= 1 << up_edge[x]
+                                x = up_vertex[x]
+                        best_weight = best_witness.bit_count()
+            frontier = nxt
+            d += 1
+    if best_witness is None:
         raise IntegrityError("no nontrivial cycle found despite betti1 > 0")
     if not is_cycle(c, best_witness):
         raise IntegrityError("search witness is not a cycle")

@@ -53,9 +53,10 @@ class CssCode:
 
 
 def build_css(c: SurfaceComplex) -> CssCode:
-    """Face checks from d2^T, vertex checks from d1, logicals from tree/co-tree."""
+    """Face checks from the face masks, vertex checks from d1, logicals from tree/co-tree."""
     cc = boundary_matrices(c)
-    hx = cc.d2.transpose()
+    ix = c.index
+    hx = BinaryMatrix(len(ix.face_ids), len(ix.edge_ids), [ix.face_masks[f] for f in ix.face_ids])
     k = _betti_number(c)  # rank(hx) = rank(d2), rank(hz) = rank(d1)
     if k != 2 * c.genus:
         raise IntegrityError(

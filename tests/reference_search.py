@@ -1,0 +1,86 @@
+"""Independent reference for the distance engine: the product-graph BFS.
+
+A breadth-first search over the product of the graph with the Z2^{2g}
+signature space (the Z2 homology cover): traversing an edge flips the bits
+of the cocycles containing it, and the shortest closed walk returning to
+its start with a nonzero signature is the distance (a minimal such walk
+never repeats an edge, so walk length equals cycle weight).  It visits
+V * 2^(2g) states from every root, so it serves only as a cross-check on
+small inputs.
+"""
+from __future__ import annotations
+
+from collections import deque
+from typing import Sequence
+
+from atqc.complexes import SurfaceComplex
+from atqc.errors import InputError, IntegrityError
+from atqc.homology import betti1, cocycle_basis, homology_signature, is_cycle
+
+
+def reference_shortest_nontrivial_cycle(
+    c: SurfaceComplex, basis: Sequence[int] | None = None
+) -> tuple[int, int]:
+    """(weight, witness mask) of the shortest homologically nontrivial cycle."""
+    two_g = betti1(c)
+    if two_g == 0:
+        raise InputError("complex has trivial first homology; no nontrivial cycle exists")
+    if basis is None:
+        basis = cocycle_basis(c)
+    ix = c.index
+    sig_delta = []
+    for i in range(len(ix.edge_ids)):
+        bit = 1 << i
+        sig_delta.append(sum(1 << j for j, coc in enumerate(basis) if coc & bit))
+    vindex = {v: i for i, v in enumerate(ix.vertex_ids)}
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in vindex]
+    for i, e in enumerate(ix.edge_ids):
+        u, v = c.edges[e]
+        adjacency[vindex[u]].append((i, vindex[v]))
+        if u != v:
+            adjacency[vindex[v]].append((i, vindex[u]))
+
+    n_states = len(vindex) << two_g
+    best_weight = None
+    best_witness = None
+    for start in range(len(vindex)):
+        dist = [-1] * n_states
+        parent = [(-1, -1)] * n_states  # (previous state, edge index)
+        s0 = start << two_g
+        dist[s0] = 0
+        queue = deque([s0])
+        while queue:
+            state = queue.popleft()
+            d = dist[state]
+            if best_weight is not None and d + 1 > best_weight:
+                break
+            v, sig = state >> two_g, state & ((1 << two_g) - 1)
+            for eidx, w in adjacency[v]:
+                nxt = (w << two_g) | (sig ^ sig_delta[eidx])
+                if dist[nxt] == -1:
+                    dist[nxt] = d + 1
+                    parent[nxt] = (state, eidx)
+                    queue.append(nxt)
+        for sig in range(1, 1 << two_g):
+            state = (start << two_g) | sig
+            d = dist[state]
+            if d == -1 or (best_weight is not None and d >= best_weight):
+                continue
+            # XOR of the walk edges: a repeated bridge edge cancels, leaving a
+            # (possibly lighter) nontrivial cycle, still a valid candidate
+            mask = 0
+            cur = state
+            while cur != s0:
+                cur, eidx = parent[cur]
+                mask ^= 1 << eidx
+            weight = mask.bit_count()
+            if best_weight is None or weight < best_weight:
+                best_weight = weight
+                best_witness = mask
+    if best_weight is None:
+        raise IntegrityError("no nontrivial cycle found despite betti1 > 0")
+    if not is_cycle(c, best_witness):
+        raise IntegrityError("search witness is not a cycle")
+    if homology_signature(c, best_witness, basis) == 0:
+        raise IntegrityError("search witness is homologically trivial")
+    return best_weight, best_witness

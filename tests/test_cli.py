@@ -138,6 +138,14 @@ def test_curves_failing_pair_writes_nothing():
     assert "euclidean" in proc.stderr
 
 
+def test_failing_command_keeps_existing_out_file(tmp_path):
+    out = tmp_path / "keep.csv"
+    out.write_text("kept line\n")
+    proc = run_cli("curves", "--pair", "6,3", "--out", str(out))
+    assert proc.returncode == 2
+    assert out.read_text() == "kept line\n"
+
+
 def test_curves_requires_pair():
     assert run_cli("curves").returncode == 2
 

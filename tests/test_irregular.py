@@ -1,5 +1,7 @@
 """Robustness checks on complexes the builders cannot produce: merged
 (non-regular) faces and fully degenerate one-vertex gluings."""
+import random
+
 import pytest
 
 from atqc.complexes import SurfaceComplex, dual_complex
@@ -101,10 +103,9 @@ def test_one_vertex_torus_code():
     verify_stabilizers(code)
 
 
-def test_search_equals_oracle_on_random_merges():
-    import random
-
-    rng = random.Random(41)
+def random_merges(seed: int):
+    """Small tori with one or two random edges dissolved, reproducible per seed."""
+    rng = random.Random(seed)
     bases = [
         lambda: build_square_torus(SquareTorusSpec(3)),
         lambda: build_hex_torus(HexTorusSpec("apothem", 2)),
@@ -115,6 +116,11 @@ def test_search_equals_oracle_on_random_merges():
         for _ in range(rng.randint(1, 2)):
             candidates = [e for e, s in c.edge_slots().items() if s[0][0] != s[1][0]]
             c = merge_across(c, rng.choice(candidates))
+        yield c
+
+
+def test_search_equals_oracle_on_random_merges():
+    for c in random_merges(41):
         assert betti1(c) == 2
         r = code_distances(c)
         assert oracle_distances(build_css(c)) == (r.d_x, r.d_z), c.label

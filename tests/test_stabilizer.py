@@ -5,7 +5,7 @@ import pytest
 from atqc.binmat import BinaryMatrix, in_row_space, parity
 from atqc.complexes import dual_complex
 from atqc.errors import IntegrityError, InputError
-from atqc.homology import cocycle_basis, homology_signature
+from atqc.homology import boundary_matrices, cocycle_basis, homology_signature
 from atqc.stabilizer import (
     CssCode,
     build_css,
@@ -34,6 +34,11 @@ def test_build_css_parameters(build, n, k):
 def test_build_css_ingested(ingested_genus2):
     code = build_css(ingested_genus2)
     assert (code.n, code.k) == (24, 4)
+
+
+def test_hx_rows_are_face_boundaries(corpus):
+    for c in corpus:
+        assert build_css(c).hx == boundary_matrices(c).d2.transpose()
 
 
 def test_commutation_everywhere(corpus):
