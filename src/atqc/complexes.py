@@ -48,10 +48,10 @@ class ComplexIndex:
     edge id to its bit position in every edge mask; ``slots`` maps an edge
     to its two (face, position) slots in ascending order; ``face_masks`` and
     ``star_masks`` are the Z2 face boundaries and vertex stars over that
-    order.  Validation builds these.  ``chain``, ``betti`` and ``bases`` are
-    filled on first use by :mod:`atqc.homology`; threads racing to fill one
-    compute equal values, so no lock is needed.  Nothing mutates what the
-    index hands out.
+    order.  Validation builds these.  ``chain`` and ``bases`` are filled on
+    first use by :mod:`atqc.homology`; threads racing to fill one compute
+    equal values, so no lock is needed.  Nothing mutates what the index
+    hands out.
     """
 
     edge_ids: tuple[int, ...]
@@ -62,7 +62,6 @@ class ComplexIndex:
     face_masks: dict[int, int]
     star_masks: dict[int, int]
     chain: object = None
-    betti: int | None = None
     bases: tuple | None = None
 
 

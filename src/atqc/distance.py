@@ -21,7 +21,9 @@ Two independent routes:
   closes a walk that long; a witness mask is built only when a walk beats
   the best.  Cost O(V * E), O(V) state per root, no 2^(2g) factor.  Roots
   go in ascending vertex order and edges in ascending dense index, so
-  witnesses are deterministic.  d_x runs on the complex, d_z on its dual.
+  witnesses are deterministic.  d_x runs on the graph of the complex, d_z
+  on its face adjacency (the dual's graph; ``dual=True``) with signatures
+  against the primal cycle basis: nothing above depends on the graph.
 * :func:`oracle_distances` exhaustively enumerates ker(hz) (organized as
   cosets of rowspace(hx), walked in Gray-code order) and takes the
   minimum weight outside the stabilizer row space.  It is the ground
@@ -32,12 +34,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 from .binmat import RowBasis, support
-from .complexes import SurfaceComplex, dual_complex
+from .complexes import SurfaceComplex
 from .errors import DiscrepancyError, InputError, IntegrityError
-from .homology import betti1, cocycle_basis, homology_signature, is_cycle, mask_to_edges
+from .homology import cocycle_basis, homology_signature, is_cycle, mask_to_edges
 from .stabilizer import CssCode, build_css
 
 DEFAULT_ORACLE_CEILING = 30
@@ -66,24 +67,21 @@ def oracle_ceiling_from_env(default: int = DEFAULT_ORACLE_CEILING) -> int:
         raise InputError(f"ATQC_ORACLE_CEILING must be an integer, got {raw!r}") from exc
 
 
-def shortest_nontrivial_cycle(
-    c: SurfaceComplex, basis: Sequence[int] | None = None
-) -> tuple[int, int]:
-    """(weight, witness mask) of the shortest homologically nontrivial cycle."""
-    two_g = betti1(c)
-    if two_g == 0:
-        raise InputError("complex has trivial first homology; no nontrivial cycle exists")
-    if basis is None:
-        basis = cocycle_basis(c)
+def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[int, int]:
+    """(weight, witness mask) of the shortest nontrivial cycle, of the dual if ``dual``."""
+    basis = cocycle_basis(c, dual)
     ix = c.index
     sig_delta = [0] * len(ix.edge_ids)
     for j, coc in enumerate(basis):
         for i in support(coc):
             sig_delta[i] |= 1 << j
-    vindex = {v: i for i, v in enumerate(ix.vertex_ids)}
+    if dual:
+        nodes, ends = ix.face_ids, [(s[0][0], s[1][0]) for s in ix.slots.values()]
+    else:
+        nodes, ends = ix.vertex_ids, [c.edges[e] for e in ix.edge_ids]
+    vindex = {v: i for i, v in enumerate(nodes)}
     adjacency: list[list[tuple[int, int]]] = [[] for _ in vindex]
-    for i, e in enumerate(ix.edge_ids):
-        u, v = c.edges[e]
+    for i, (u, v) in enumerate(ends):
         adjacency[vindex[u]].append((i, vindex[v]))
         if u != v:
             adjacency[vindex[v]].append((i, vindex[u]))
@@ -126,23 +124,22 @@ def shortest_nontrivial_cycle(
             d += 1
     if best_witness is None:
         raise IntegrityError("no nontrivial cycle found despite betti1 > 0")
-    if not is_cycle(c, best_witness):
+    if not is_cycle(c, best_witness, dual):
         raise IntegrityError("search witness is not a cycle")
-    if homology_signature(c, best_witness, basis) == 0:
+    if homology_signature(c, best_witness, dual=dual) == 0:
         raise IntegrityError("search witness is homologically trivial")
     return best_weight, best_witness
 
 
 def code_distances(c: SurfaceComplex) -> DistanceResult:
-    """Exact d_x (primal) and d_z (dual) with validated witnesses."""
+    """Exact d_x (primal graph) and d_z (face adjacency) with validated witnesses."""
     d_x, wx = shortest_nontrivial_cycle(c)
-    dual = dual_complex(c)
-    d_z, wz = shortest_nontrivial_cycle(dual)
+    d_z, wz = shortest_nontrivial_cycle(c, dual=True)
     return DistanceResult(
         d_x=d_x,
         d_z=d_z,
         witness_x=mask_to_edges(c, wx),
-        witness_z=mask_to_edges(dual, wz),
+        witness_z=mask_to_edges(c, wz),
         method=SEARCH,
     )
 

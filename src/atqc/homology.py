@@ -3,13 +3,27 @@
 Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
 Edge sets are packed as integers over its dense edge order (ascending
 edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
-boundary.  The boundary operators, the Betti number and the homology bases
-are computed on first use, checked once, and cached on that index.
+boundary.  The boundary operators and the homology bases are computed on
+first use, checked once, and cached on that index.
 The bases come from the tree/co-tree construction: a spanning
 tree of the primal graph plus a spanning tree of the dual graph on the
 remaining edges leave exactly 2g edges; each leftover edge closes one
 primal cycle (through the tree) and one dual cycle (through the co-tree),
 and the two bases pair as the identity matrix by construction.
+
+The same construction certifies b1 = dim ker(d1) - rank(d2) = 2g with no
+rank.  Validation guarantees two face slots per edge and |V| - |E| + |F| =
+2 - 2g.  The tree shows the graph is connected: rank(d1) = |V| - 1.  The
+co-tree shows the dual graph is connected.  A face set in ker(d2) meets
+each edge evenly, so it holds both faces of an edge or neither: it is
+empty or all faces (which are in ker(d2), two slots per edge), and
+rank(d2) = |F| - 1.  So b1 = |E| - |V| - |F| + 2 = 2g, which is also the
+number of leftover edges; the identity pairing shows 2g from below.
+
+With ``dual=True``, :func:`cocycle_basis`, :func:`is_cycle` and
+:func:`homology_signature` answer for the dual complex without building
+it: its cycles are even on every face boundary, its cocycle basis is the
+primal cycle basis.
 """
 from __future__ import annotations
 
@@ -74,24 +88,10 @@ def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
     return ix.chain
 
 
-def _betti_number(c: SurfaceComplex) -> int:
-    """|E| - rank(d1) - rank(d2), unchecked; the two ranks are taken once."""
-    ix = c.index
-    if ix.betti is None:
-        cc = boundary_matrices(c)
-        ix.betti = len(cc.edge_ids) - cc.d1.rank() - cc.d2.rank()
-    return ix.betti
-
-
 def betti1(c: SurfaceComplex) -> int:
-    """dim ker(d1) - rank(d2); must equal 2 * genus for a valid complex."""
-    value = _betti_number(c)
-    if value != 2 * c.genus:
-        raise IntegrityError(
-            f"betti1 = {value} but genus {c.genus} demands {2 * c.genus}; "
-            "complex integrity failure"
-        )
-    return value
+    """dim ker(d1) - rank(d2) = 2 * genus; IntegrityError unless the bases certify it."""
+    cycle_cocycle_bases(c)
+    return 2 * c.genus
 
 
 def _bfs_parents(incidence: dict, root: int) -> dict[int, tuple[int, int]]:
@@ -185,22 +185,25 @@ def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, 
     return ix.bases
 
 
-def cocycle_basis(c: SurfaceComplex) -> tuple[int, ...]:
+def cocycle_basis(c: SurfaceComplex, dual: bool = False) -> tuple[int, ...]:
     """2g edge sets that vanish on boundaries and induce a basis dual to H1."""
     betti1(c)
-    return cycle_cocycle_bases(c)[1]
+    return cycle_cocycle_bases(c)[0 if dual else 1]
 
 
-def is_cycle(c: SurfaceComplex, mask: int) -> bool:
-    return all(parity(star & mask) == 0 for star in c.index.star_masks.values())
+def is_cycle(c: SurfaceComplex, mask: int, dual: bool = False) -> bool:
+    closers = c.index.face_masks if dual else c.index.star_masks
+    return all(parity(m & mask) == 0 for m in closers.values())
 
 
-def homology_signature(c: SurfaceComplex, cycle: int, basis: Sequence[int] | None = None) -> int:
+def homology_signature(
+    c: SurfaceComplex, cycle: int, basis: Sequence[int] | None = None, dual: bool = False
+) -> int:
     """Pairing bits of a cycle against the cocycle basis; 0 iff a boundary."""
-    if not is_cycle(c, cycle):
-        raise InputError("edge set is not a cycle (some vertex has odd incidence)")
+    if not is_cycle(c, cycle, dual):
+        raise InputError("edge set is not a cycle (odd incidence at a vertex, or a face if dual)")
     if basis is None:
-        basis = cocycle_basis(c)
+        basis = cocycle_basis(c, dual)
     sig = 0
     for i, coc in enumerate(basis):
         if parity(cycle & coc):

@@ -17,6 +17,7 @@ from atqc.homology import (
     mask_to_edges,
 )
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+from test_irregular import one_vertex_torus, random_merges
 
 
 def test_d1_d2_zero_everywhere(corpus):
@@ -39,13 +40,15 @@ def test_square3_column_weights():
 
 
 def test_global_rank_dependencies(corpus):
-    # rank(d2) = |F| - 1 and rank(d1) = |V| - 1 for connected complexes,
-    # except the fully degenerate hex xi=1 where d2 collapses to zero
-    for c in corpus:
+    # the premise of the rank-free betti1: rank(d1) = |V| - 1 and rank(d2) =
+    # |F| - 1 on every valid complex, degenerate faces and loops included, so
+    # elimination and the tree/co-tree certificate agree
+    merges = [c for seed in range(41, 45) for c in random_merges(seed)]
+    for c in corpus + [one_vertex_torus()] + merges:
         cc = boundary_matrices(c)
-        assert cc.d1.rank() == c.num_vertices - 1
-        if not c.degenerate_faces:
-            assert cc.d2.rank() == c.num_faces - 1
+        r1, r2 = cc.d1.rank(), cc.d2.rank()
+        assert (r1, r2) == (c.num_vertices - 1, c.num_faces - 1), c.label
+        assert c.num_edges - r1 - r2 == betti1(c) == 2 * c.genus, c.label
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,8 @@ import threading
 import pytest
 
 from atqc.binmat import BinaryMatrix
-from atqc.complexes import dual_complex
+from atqc.complexes import SurfaceComplex, dual_complex
+from atqc.distance import code_distances
 from atqc.homology import (
     betti1,
     boundary_matrices,
@@ -97,20 +98,37 @@ def test_algebra_is_cached_on_the_index(complexes):
         assert code.logical_z is cocycle_basis(c)
 
 
-def test_ranks_are_taken_once_per_complex(monkeypatch):
+def test_no_rank_and_no_dual_per_complex(monkeypatch):
+    # betti1, k and both distances rest on the tree/co-tree certificate alone
+    c = build_square_torus(SquareTorusSpec(4))
     calls = []
     rank = BinaryMatrix.rank
 
     def counting_rank(self):
-        calls.append(self)
+        calls.append("rank")
         return rank(self)
 
+    def counting_dual(c):
+        calls.append("dual_complex")
+        return dual_complex(c)
+
     monkeypatch.setattr(BinaryMatrix, "rank", counting_rank)
-    c = build_square_torus(SquareTorusSpec(4))
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "atqc"]:
+        if hasattr(module, "dual_complex"):
+            monkeypatch.setattr(module, "dual_complex", counting_dual)
+    validate = SurfaceComplex._validate
+
+    def counting_validate(self):  # any new complex, a dual built by other means too
+        calls.append("complex")
+        validate(self)
+
+    monkeypatch.setattr(SurfaceComplex, "_validate", counting_validate)
     assert betti1(c) == betti1(c) == 2
     assert build_css(c).k == 2
     cocycle_basis(c)
-    assert len(calls) == 2
+    r = code_distances(c)
+    assert (r.d_x, r.d_z) == (4, 4)
+    assert calls == []
 
 
 def test_racing_threads_fill_equal_values():

@@ -1,12 +1,15 @@
 """Robustness checks on complexes the builders cannot produce: merged
 (non-regular) faces and fully degenerate one-vertex gluings."""
+import json
 import random
 
 import pytest
 
-from atqc.complexes import SurfaceComplex, dual_complex
+from atqc import cli
+from atqc.complexes import SurfaceComplex, dual_complex, save_complex
 from atqc.distance import code_distances, oracle_distances
-from atqc.homology import betti1
+from atqc.errors import IntegrityError
+from atqc.homology import betti1, boundary_matrices
 from atqc.stabilizer import build_css, verify_stabilizers
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
 
@@ -124,3 +127,56 @@ def test_search_equals_oracle_on_random_merges():
         assert betti1(c) == 2
         r = code_distances(c)
         assert oracle_distances(build_css(c)) == (r.d_x, r.d_z), c.label
+
+
+def test_dual_distances_swap_on_random_merges():
+    # the dual's d_z runs on its own face adjacency, never on a dual of the dual
+    for seed in range(41, 61):
+        for c in random_merges(seed):
+            r = code_distances(c)
+            rd = code_distances(dual_complex(c))
+            assert (rd.d_x, rd.d_z) == (r.d_z, r.d_x), c.label
+
+
+def test_distance_cli_on_dual_of_first_merge(tmp_path, capsys):
+    d = dual_complex(next(random_merges(41)))
+    assert (d.num_vertices, d.num_edges, d.num_faces) == (2, 10, 8)
+    path = tmp_path / "dual.json"
+    with path.open("w") as fh:
+        save_complex(d, fh)
+    assert cli.main(["distance", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["d_x"], doc["d_z"], doc["method"]) == (1, 4, "both-agree")
+
+
+def two_tori_sharing_two_vertices():
+    """Two 3x3 tori glued at two vertex pairs: chi = -2, yet not a surface."""
+    a = build_square_torus(SquareTorusSpec(3))
+    glue = {100: 0, 104: 4}
+
+    def moved(v):
+        return glue.get(v + 100, v + 100)
+
+    edges = dict(a.edges)
+    edges.update({e + 100: (moved(u), moved(v)) for e, (u, v) in a.edges.items()})
+    faces = dict(a.faces)
+    faces.update({f + 100: tuple(e + 100 for e in cyc) for f, cyc in a.faces.items()})
+    vertices = list(a.vertices) + [moved(v) for v in a.vertices if v + 100 not in glue]
+    return SurfaceComplex(genus=2, vertices=vertices, edges=edges, faces=faces, label="two tori")
+
+
+def test_two_tori_sharing_two_vertices_are_rejected(tmp_path, capsys):
+    c = two_tori_sharing_two_vertices()
+    assert (c.num_vertices, c.num_edges, c.num_faces, c.genus) == (16, 36, 18, 2)
+    cc = boundary_matrices(c)
+    assert c.num_edges - cc.d1.rank() - cc.d2.rank() == 5  # not 2g: the dual graph splits
+    with pytest.raises(IntegrityError):
+        betti1(c)
+    with pytest.raises(IntegrityError):
+        build_css(c)
+    path = tmp_path / "two-tori.json"
+    with path.open("w") as fh:
+        save_complex(c, fh)
+    for command in ("check", "distance"):
+        assert cli.main([command, str(path)]) == 2
+        assert "error:" in capsys.readouterr().err

@@ -11,9 +11,14 @@ from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_squ
 
 
 def assert_engine_matches(c):
-    """Primal and dual weights equal the reference; witnesses are valid; oracle if n <= 30."""
+    """Primal and dual weights equal the reference; witnesses are valid; oracle if n <= 30.
+
+    The face-adjacency search of c gives the dual complex's weight and witness mask.
+    """
     weights = []
-    for side in (c, dual_complex(c)):
+    dual = dual_complex(c)
+    assert shortest_nontrivial_cycle(c, dual=True) == shortest_nontrivial_cycle(dual), c.label
+    for side in (c, dual):
         weight, witness = shortest_nontrivial_cycle(side)
         assert weight == reference_shortest_nontrivial_cycle(side)[0], side.label
         assert is_cycle(side, witness)

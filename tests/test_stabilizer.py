@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import re
 
 import pytest
 
@@ -95,6 +97,29 @@ def test_verify_rejects_broken_commutation():
     )
     with pytest.raises(IntegrityError, match="anticommutes"):
         verify_stabilizers(broken)
+
+
+def test_verify_names_the_first_anticommuting_pair(corpus):
+    # the single product hx . hz^T against the face-by-vertex parity loop
+    for c in corpus:
+        if c.num_faces < 2:
+            continue  # both flips would land in one row and could cancel
+        code = build_css(c)
+        hx = BinaryMatrix(code.hx.rows, code.hx.cols, list(code.hx.data))
+        hx.data[len(hx.data) // 2] ^= 1 << (code.n - 1)
+        hx.data[-1] ^= 1
+        i, j = next(
+            (i, j)
+            for i, x in enumerate(hx.data)
+            for j, z in enumerate(code.hz.data)
+            if parity(x & z)
+        )
+        message = (
+            f"X check on face {code.face_ids[i]} anticommutes with Z check "
+            f"on vertex {code.vertex_ids[j]}"
+        )
+        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+            verify_stabilizers(dataclasses.replace(code, hx=hx))
 
 
 def test_degenerate_build_warns():
