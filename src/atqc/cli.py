@@ -19,11 +19,7 @@ from typing import IO, Callable
 
 from .catalog import emit_curves, emit_tables, family_params
 from .complexes import load_complex, save_complex
-from .distance import (
-    DistanceResult,
-    certified_distances,
-    oracle_ceiling_from_env,
-)
+from .distance import BOTH_AGREE, DistanceResult, certified_distances, oracle_ceiling_from_env
 from .errors import AtqcError, ComplexError, DiscrepancyError, InputError
 from .geometry import SchlafliPair, classify
 from .homology import betti1
@@ -124,9 +120,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    ceiling = oracle_ceiling_from_env() if args.oracle_ceiling is None else args.oracle_ceiling
     c = _load(args.file)
-    result = certified_distances(c, args.oracle_ceiling)
-    _emit(_distance_doc(result))
+    result = certified_distances(c, ceiling)
+    oracle = {"ran": result.method == BOTH_AGREE, "n": c.num_edges, "ceiling": ceiling}
+    _emit({**_distance_doc(result), "oracle": oracle})
     return EXIT_OK
 
 

@@ -2,9 +2,24 @@
 
 A :class:`SurfaceComplex` is a purely combinatorial closed orientable
 surface: vertices, edges (unordered vertex pairs keyed by id, so parallel
-edges are representable), and faces given as cyclic edge-id sequences.
-Every complex is validated on construction; instances are immutable and
-safe to share between threads.
+edges and loops are representable), and faces given as cyclic edge-id
+sequences.  Every complex is validated on construction; instances are
+immutable and safe to share between threads.
+
+Validation reads the complex as an oriented combinatorial map.  The darts
+are the face slots: alpha pairs the two slots of an edge and phi steps to
+the next slot of a face.  A stored face may run either way round; faces
+are oriented across non-loop edges so that the two slots of each such
+edge run it in opposite directions.  No vertex fixes the direction of a
+set of faces that only loops tie to the rest, so its lowest face keeps
+its stored order; a face whose edges all join the same two vertices keeps
+its stored order too, its walk read from ``ends[0]`` of its first edge
+unless a neighbour fixes it.  The cycles of sigma = phi . alpha are the
+vertex rotations (``rotations``).  Rejected with a :class:`ComplexError`:
+a complex no face directions orient, a pinched one (a vertex owning more
+than one rotation), a disconnected one, and one whose Euler
+characteristic disagrees with its genus.  The dual is the same map with
+the roles of phi and sigma swapped.
 
 The JSON format accepted by :func:`load_complex`/:func:`save_complex`::
 
@@ -13,31 +28,18 @@ The JSON format accepted by :func:`load_complex`/:func:`save_complex`::
       "edges":  [{"id": int, "ends": [int, int]}, ...],
       "faces":  [{"id": int, "edge_cycle": [int, ...]}, ...] }
 
-Unknown keys are rejected.  This is the ingestion path for hyperbolic
-complexes, which this package checks but does not generate.
+Unknown keys are rejected.  Faces and ends are written as stored, so a
+saved complex loads back as the same map.  This is the ingestion path for
+hyperbolic complexes, which this package checks but does not generate.
 """
 from __future__ import annotations
 
 import json
+from itertools import compress
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
 from .errors import ComplexError
-
-_HEAD = 0
-_TAIL = 1
-
-
-def normalize_cycle(cycle: Iterable[int]) -> tuple[int, ...]:
-    """Lexicographically minimal rotation/reflection of a cyclic sequence."""
-    seq = tuple(cycle)
-    if not seq:
-        return seq
-    candidates = []
-    for base in (seq, seq[::-1]):
-        for k in range(len(base)):
-            candidates.append(base[k:] + base[:k])
-    return min(candidates)
 
 
 @dataclass(eq=False)
@@ -80,7 +82,7 @@ class SurfaceComplex:
         self.label = str(label)
         self.vertices = tuple(vertices)
         self.edges = {int(e): (int(u), int(v)) for e, (u, v) in edges.items()}
-        self.faces = {int(f): tuple(int(e) for e in cyc) for f, cyc in faces.items()}
+        self.faces = {int(f): tuple(map(int, cyc)) for f, cyc in faces.items()}
         self._validate()
 
     # -- basic accessors ---------------------------------------------------
@@ -126,16 +128,21 @@ class SurfaceComplex:
         face_ids = tuple(sorted(self.faces))
         slots: dict[int, list[tuple[int, int]]] = {e: [] for e in edge_ids}
         face_masks = {}
-        for f in face_ids:
-            if not self.faces[f]:
+        first, face_of, edge_of = [0], [], []
+        for i, f in enumerate(face_ids):
+            cyc = self.faces[f]
+            if not cyc:
                 raise ComplexError(f"face {f} has an empty edge cycle")
             mask = 0
-            for t, e in enumerate(self.faces[f]):
+            for t, e in enumerate(cyc):
                 if e not in slots:
                     raise ComplexError(f"face {f} references unknown edge {e}")
                 slots[e].append((f, t))
                 mask ^= 1 << bit[e]
             face_masks[f] = mask
+            face_of += [i] * len(cyc)
+            edge_of += cyc
+            first.append(len(edge_of))
         bad = [e for e, s in slots.items() if len(s) != 2]
         if bad:
             raise ComplexError(
@@ -144,8 +151,76 @@ class SurfaceComplex:
         self.index = ComplexIndex(
             edge_ids, bit, tuple(sorted(self.vertices)), face_ids, slots, face_masks, stars
         )
-        self._walks = {f: self._face_walk(f) for f in self.faces}
-        if not self._connected():
+        # darts are the face slots in (face id, position) order; alpha pairs
+        # the two slots of an edge, so d < alpha[d] marks an edge's first slot
+        offset, alpha = dict(zip(face_ids, first)), [0] * len(edge_of)
+        for (f1, t1), (f2, t2) in slots.values():
+            a, b = offset[f1] + t1, offset[f2] + t2
+            alpha[a], alpha[b] = b, a
+        # tail/head: the vertices each slot runs between along its face's walk
+        self._walks, tail, head = {}, [], []
+        for f in face_ids:
+            walk = self._walks[f] = self._face_walk(f)
+            tail += walk
+            head += walk[1:] + walk[:1]
+        # orient: across every non-loop edge, the two slots run opposite ways;
+        # flip[i] reverses face i, and the lowest face of each set that only
+        # loops tie to the rest keeps its stored direction
+        flip = [-1] * len(face_ids)
+        pieces = 0
+        for root in range(len(face_ids)):
+            if flip[root] >= 0:
+                continue
+            pieces += 1
+            flip[root] = 0
+            stack = [root]
+            while stack:
+                i = stack.pop()
+                lo, hi, fi = first[i], first[i + 1], flip[i]
+                for x, y, a in zip(tail[lo:hi], head[lo:hi], alpha[lo:hi]):
+                    if x == y:
+                        continue
+                    j, want = face_of[a], fi ^ (x == tail[a])
+                    if flip[j] < 0:
+                        flip[j] = want
+                        stack.append(j)
+                    elif flip[j] != want:
+                        raise ComplexError(
+                            f"complex is not orientable: edge {edge_of[a]} cannot be run "
+                            "opposite ways by its two face-slots"
+                        )
+        phi = list(range(1, len(alpha) + 1))
+        for lo, hi in zip(first, first[1:]):
+            phi[hi - 1] = lo
+        for i in compress(range(len(face_ids)), flip):
+            lo, hi, walk = first[i], first[i + 1], self._walks[face_ids[i]]
+            if walk == walk[:2] * (len(walk) // 2):
+                # an alternating walk runs either way: read it from its other end
+                self._walks[face_ids[i]] = walk[1:] + walk[:1]
+            else:
+                phi[lo:hi] = [hi - 1, *range(lo, hi - 1)]
+        # the cycles of sigma = phi . alpha are the vertex rotations; each one
+        # starts at an edge's first slot where it has one
+        rotations: dict[int, tuple[int, ...]] = {}
+        seen = bytearray(len(alpha))
+        for d in [d for d, a in enumerate(alpha) if d < a] + list(range(len(alpha))):
+            if seen[d]:
+                continue
+            v = head[d] if flip[face_of[d]] else tail[d]
+            if v in rotations:
+                loops = any(u == w for u, w in self.edges.values())
+                raise ComplexError(
+                    f"vertex {v} is pinched: its corners form more than one rotation"
+                    + ("; loop faces are read in their stored direction" if loops else "")
+                )
+            ring, x = [], d
+            while not seen[x]:
+                seen[x] = 1
+                ring.append(edge_of[x])
+                x = phi[alpha[x]]
+            rotations[v] = tuple(ring)
+        self.rotations = rotations
+        if len(rotations) < len(self.vertices) or (pieces != 1 and not self._connected()):
             raise ComplexError("complex is not connected")
         chi = self.euler_characteristic
         if chi != 2 - 2 * self.genus:
@@ -159,43 +234,38 @@ class SurfaceComplex:
 
     def _face_walk(self, face: int) -> tuple[int, ...]:
         """Vertex sequence x_0..x_{k-1} with edge t joining x_t, x_{t+1}."""
-        cyc = self.faces[face]
-        for start in self.edges[cyc[0]]:
-            walk = [start]
-            x = start
-            ok = True
+        cyc, edges = self.faces[face], self.edges
+        for start in edges[cyc[0]]:
+            walk, x = [], start
             for e in cyc:
-                u, v = self.edges[e]
+                walk.append(x)
+                u, v = edges[e]
                 if x == u:
                     x = v
                 elif x == v:
                     x = u
                 else:
-                    ok = False
                     break
-                walk.append(x)
-            if ok and x == walk[0]:
-                return tuple(walk[:-1])
+            else:
+                if x == start:
+                    return tuple(walk)
         raise ComplexError(
             f"face {face} edge cycle is not a closed edge path "
             "(consecutive edges must chain through shared vertices)"
         )
 
     def _connected(self) -> bool:
-        if not self.vertices:
-            return False
         adjacency: dict[int, list[int]] = {v: [] for v in self.vertices}
         for u, v in self.edges.values():
             adjacency[u].append(v)
             adjacency[v].append(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        seen, stack = set(self.vertices[:1]), list(self.vertices[:1])
         while stack:
             for w in adjacency[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return len(seen) == len(self.vertices)
+        return bool(seen) and len(seen) == len(self.vertices)
 
     # -- derived structure ------------------------------------------------
 
@@ -207,85 +277,20 @@ class SurfaceComplex:
         return self._walks[face]
 
     def vertex_degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices}
-        for u, v in self.edges.values():
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return {v: len(ring) for v, ring in self.rotations.items()}
 
 
 def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
     """Dual surface: vertices and faces swap roles, edge ids are shared.
 
-    The dual face around a primal vertex is read off the vertex link,
-    reconstructed from the face walks; a vertex whose link is not a single
-    cycle means the input was not a closed surface and is rejected.
+    Edge e joins the faces of its first and second slot, and the dual face
+    of a vertex is its rotation, so every dual face runs the same way round.
     """
-    slots = c.index.slots
-    # corner matching M1 and edge-side matching M2 on slot-end instances
-    instance_vertex: dict[tuple[int, int, int], int] = {}
-    m1: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    for f in c.faces:
-        cyc = c.faces[f]
-        walk = c.face_walk(f)
-        k = len(cyc)
-        for t in range(k):
-            head = (f, t, _HEAD)  # end of slot t at x_{t+1}
-            tail = (f, t, _TAIL)  # end of slot t at x_t
-            instance_vertex[head] = walk[(t + 1) % k]
-            instance_vertex[tail] = walk[t]
-            nxt = (f, (t + 1) % k, _TAIL)
-            m1[head] = nxt
-            m1[nxt] = head
-    m2: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-    for e, (u, v) in c.edges.items():
-        (f1, t1), (f2, t2) = slots[e]
-        if u == v:
-            m2[(f1, t1, _HEAD)] = (f2, t2, _TAIL)
-            m2[(f2, t2, _TAIL)] = (f1, t1, _HEAD)
-            m2[(f1, t1, _TAIL)] = (f2, t2, _HEAD)
-            m2[(f2, t2, _HEAD)] = (f1, t1, _TAIL)
-        else:
-            for w in (u, v):
-                a = (f1, t1, _HEAD) if instance_vertex[(f1, t1, _HEAD)] == w else (f1, t1, _TAIL)
-                b = (f2, t2, _HEAD) if instance_vertex[(f2, t2, _HEAD)] == w else (f2, t2, _TAIL)
-                m2[a] = b
-                m2[b] = a
-
-    dual_faces: dict[int, tuple[int, ...]] = {}
-    visited: set[tuple[int, int, int]] = set()
-    per_vertex_cycles = {v: 0 for v in c.vertices}
-    for inst in sorted(instance_vertex):
-        if inst in visited:
-            continue
-        v = instance_vertex[inst]
-        ring = []
-        cur = inst
-        while cur not in visited:
-            visited.add(cur)
-            other_side = m2[cur]
-            visited.add(other_side)
-            ring.append(c.faces[cur[0]][cur[1]])
-            cur = m1[other_side]
-        per_vertex_cycles[v] += 1
-        if per_vertex_cycles[v] > 1:
-            raise ComplexError(
-                f"vertex {v} link splits into multiple cycles; not a closed surface"
-            )
-        dual_faces[v] = normalize_cycle(ring)
-    missing = [v for v, k in per_vertex_cycles.items() if k == 0]
-    if missing:
-        raise ComplexError(f"vertex {missing[0]} has no incident face corner")
-
-    dual_edges = {}
-    for e in c.edges:
-        (f1, _), (f2, _) = slots[e]
-        dual_edges[e] = (f1, f2)
     return SurfaceComplex(
         genus=c.genus,
         vertices=c.index.face_ids,
-        edges=dual_edges,
-        faces=dual_faces,
+        edges={e: (s[0][0], s[1][0]) for e, s in c.index.slots.items()},
+        faces=c.rotations,
         label=f"dual({c.label})" if c.label else "dual",
     )
 
@@ -293,6 +298,8 @@ def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
 # -- JSON interchange ------------------------------------------------------
 
 _TOP_KEYS = {"genus", "label", "vertices", "edges", "faces"}
+_EDGE_KEYS = {"id", "ends"}
+_FACE_KEYS = {"id", "edge_cycle"}
 
 
 def complex_to_dict(c: SurfaceComplex) -> dict:
@@ -302,8 +309,7 @@ def complex_to_dict(c: SurfaceComplex) -> dict:
         "vertices": list(c.index.vertex_ids),
         "edges": [{"id": e, "ends": list(c.edges[e])} for e in c.index.edge_ids],
         "faces": [
-            {"id": f, "edge_cycle": list(normalize_cycle(c.faces[f]))}
-            for f in c.index.face_ids
+            {"id": f, "edge_cycle": list(c.faces[f])} for f in c.index.face_ids
         ],
     }
 
@@ -312,6 +318,12 @@ def _as_id(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ComplexError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _as_ids(values: list, what: str) -> list[int]:
+    if all(type(v) is int for v in values):  # JSON ids: one pass, not one call per id
+        return values
+    return [_as_id(v, what) for v in values]
 
 
 def complex_from_dict(doc: dict) -> SurfaceComplex:
@@ -329,10 +341,10 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         if not isinstance(doc[key], list):
             raise ComplexError(f"{key} must be a list")
     genus = _as_id(doc["genus"], "genus")
-    vertices = [_as_id(v, "vertex id") for v in doc["vertices"]]
+    vertices = _as_ids(doc["vertices"], "vertex id")
     edges = {}
     for item in doc["edges"]:
-        if not isinstance(item, dict) or set(item) != {"id", "ends"}:
+        if not isinstance(item, dict) or item.keys() != _EDGE_KEYS:
             raise ComplexError("edge entries must have exactly the keys 'id' and 'ends'")
         if not isinstance(item["ends"], list) or len(item["ends"]) != 2:
             raise ComplexError(f"edge {item['id']} must have exactly two ends")
@@ -342,7 +354,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         edges[eid] = (_as_id(item["ends"][0], "edge end"), _as_id(item["ends"][1], "edge end"))
     faces = {}
     for item in doc["faces"]:
-        if not isinstance(item, dict) or set(item) != {"id", "edge_cycle"}:
+        if not isinstance(item, dict) or item.keys() != _FACE_KEYS:
             raise ComplexError(
                 "face entries must have exactly the keys 'id' and 'edge_cycle'"
             )
@@ -351,7 +363,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
             raise ComplexError(f"duplicate face id {fid}")
         if not isinstance(item["edge_cycle"], list):
             raise ComplexError(f"face {fid} edge_cycle must be a list")
-        faces[fid] = tuple(_as_id(e, "face edge") for e in item["edge_cycle"])
+        faces[fid] = _as_ids(item["edge_cycle"], "face edge")
     return SurfaceComplex(
         genus=genus,
         vertices=vertices,

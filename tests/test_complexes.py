@@ -7,11 +7,19 @@ from atqc.complexes import (
     complex_to_dict,
     dual_complex,
     load_complex,
-    normalize_cycle,
     save_complex,
 )
 from atqc.errors import ComplexError
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+
+
+def normalize_cycle(cycle):
+    """Lexicographically minimal rotation/reflection of a cyclic sequence."""
+    seq = tuple(cycle)
+    return min(
+        (base[k:] + base[:k] for base in (seq, seq[::-1]) for k in range(len(seq))),
+        default=seq,
+    )
 
 
 def roundtrip(c):
