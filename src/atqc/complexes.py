@@ -6,20 +6,16 @@ edges and loops are representable), and faces given as cyclic edge-id
 sequences.  Every complex is validated on construction; instances are
 immutable and safe to share between threads.
 
-Validation reads the complex as an oriented combinatorial map.  The darts
-are the face slots: alpha pairs the two slots of an edge and phi steps to
-the next slot of a face.  A stored face may run either way round; faces
-are oriented across non-loop edges so that the two slots of each such
-edge run it in opposite directions.  No vertex fixes the direction of a
-set of faces that only loops tie to the rest, so its lowest face keeps
-its stored order; a face whose edges all join the same two vertices keeps
-its stored order too, its walk read from ``ends[0]`` of its first edge
-unless a neighbour fixes it.  The cycles of sigma = phi . alpha are the
-vertex rotations (``rotations``).  Rejected with a :class:`ComplexError`:
-a complex no face directions orient, a pinched one (a vertex owning more
-than one rotation), a disconnected one, and one whose Euler
-characteristic disagrees with its genus.  The dual is the same map with
-the roles of phi and sigma swapped.
+Validation reads the complex as an oriented combinatorial map: the darts
+are the face slots, alpha pairs an edge's two slots, phi steps along a
+face, faces are oriented so that both slots of a non-loop edge run it
+opposite ways, and the cycles of sigma = phi . alpha are the vertex
+rotations (``rotations``).  What no vertex decides (the direction of
+faces tied on only by loops, the order of a face alternating between two
+vertices) is read as stored, then reversed in turn while a vertex is
+pinched; README.md states the rule.  A complex that is not orientable,
+pinched, not connected, or whose Euler characteristic disagrees with its
+genus raises :class:`ComplexError`.  The dual swaps phi and sigma.
 
 The JSON format accepted by :func:`load_complex`/:func:`save_complex`::
 
@@ -35,8 +31,8 @@ hyperbolic complexes, which this package checks but does not generate.
 from __future__ import annotations
 
 import json
-from itertools import compress
 from dataclasses import dataclass
+from itertools import compress
 from typing import IO, Iterable, Mapping
 
 from .errors import ComplexError
@@ -82,7 +78,7 @@ class SurfaceComplex:
         self.label = str(label)
         self.vertices = tuple(vertices)
         self.edges = {int(e): (int(u), int(v)) for e, (u, v) in edges.items()}
-        self.faces = {int(f): tuple(map(int, cyc)) for f, cyc in faces.items()}
+        self.faces = {int(f): tuple(int(e) for e in cyc) for f, cyc in faces.items()}
         self._validate()
 
     # -- basic accessors ---------------------------------------------------
@@ -157,23 +153,24 @@ class SurfaceComplex:
         for (f1, t1), (f2, t2) in slots.values():
             a, b = offset[f1] + t1, offset[f2] + t2
             alpha[a], alpha[b] = b, a
-        # tail/head: the vertices each slot runs between along its face's walk
-        self._walks, tail, head = {}, [], []
+        # tail/head: the vertices each slot runs between along its face's walk;
+        # an alternating walk (x y x y ...) of four or more slots runs either way
+        alternating, tail, head = [], [], []
         for f in face_ids:
-            walk = self._walks[f] = self._face_walk(f)
+            walk = self._face_walk(f)
+            alternating.append(len(walk) > 3 and walk == walk[:2] * (len(walk) // 2))
             tail += walk
             head += walk[1:] + walk[:1]
         # orient: across every non-loop edge, the two slots run opposite ways;
-        # flip[i] reverses face i, and the lowest face of each set that only
-        # loops tie to the rest keeps its stored direction
-        flip = [-1] * len(face_ids)
-        pieces = 0
+        # flip[i] runs face i against its walk, and each piece, a set of
+        # faces that only loops tie to the rest, starts at its lowest face
+        flip, pieces = [-1] * len(face_ids), []
         for root in range(len(face_ids)):
             if flip[root] >= 0:
                 continue
-            pieces += 1
             flip[root] = 0
             stack = [root]
+            pieces.append(stack[:])
             while stack:
                 i = stack.pop()
                 lo, hi, fi = first[i], first[i + 1], flip[i]
@@ -184,43 +181,71 @@ class SurfaceComplex:
                     if flip[j] < 0:
                         flip[j] = want
                         stack.append(j)
+                        pieces[-1].append(j)
                     elif flip[j] != want:
                         raise ComplexError(
                             f"complex is not orientable: edge {edge_of[a]} cannot be run "
                             "opposite ways by its two face-slots"
                         )
-        phi = list(range(1, len(alpha) + 1))
-        for lo, hi in zip(first, first[1:]):
-            phi[hi - 1] = lo
-        for i in compress(range(len(face_ids)), flip):
-            lo, hi, walk = first[i], first[i + 1], self._walks[face_ids[i]]
-            if walk == walk[:2] * (len(walk) // 2):
-                # an alternating walk runs either way: read it from its other end
-                self._walks[face_ids[i]] = walk[1:] + walk[:1]
+        # rev[i] reverses phi on face i; flip alone reads an alternating face
+        # from its other end, so it keeps its stored order
+        rev = [f and not alt for f, alt in zip(flip, alternating)]
+
+        def sigma_cycles() -> list[tuple[int, tuple[int, ...]]]:
+            # the cycles of sigma = phi . alpha are the vertex rotations; each
+            # one starts at an edge's first slot where it has one
+            phi = []
+            for r, lo, hi in zip(rev, first, first[1:]):
+                phi += [hi - 1, *range(lo, hi - 1)] if r else [*range(lo + 1, hi), lo]
+            rings, seen = [], bytearray(len(alpha))
+            for d in [d for d, a in enumerate(alpha) if d < a] + list(range(len(alpha))):
+                if seen[d]:
+                    continue
+                ring, x = [], d
+                while not seen[x]:
+                    seen[x] = 1
+                    ring.append(edge_of[x])
+                    x = phi[alpha[x]]
+                rings.append((head[d] if flip[face_of[d]] else tail[d], tuple(ring)))
+            return rings
+
+        def reverse(faces, turn):
+            for i in faces:
+                flip[i] ^= turn
+                rev[i] ^= 1
+
+        # no vertex decides the direction of a piece after the first, nor the
+        # order of an alternating face of four or more slots; while a vertex
+        # is pinched, reverse each in turn and keep it if it joins rotations
+        moves = [(p, 1) for p in pieces[1:]]
+        moves += [((i,), 0) for i in compress(range(len(face_ids)), alternating)]
+        rings = sigma_cycles()
+        for faces, turn in moves:
+            if len({v for v, _ in rings}) == len(rings):
+                break
+            reverse(faces, turn)
+            trial = sigma_cycles()
+            if len(trial) < len(rings):
+                rings = trial
             else:
-                phi[lo:hi] = [hi - 1, *range(lo, hi - 1)]
-        # the cycles of sigma = phi . alpha are the vertex rotations; each one
-        # starts at an edge's first slot where it has one
+                reverse(faces, turn)
         rotations: dict[int, tuple[int, ...]] = {}
-        seen = bytearray(len(alpha))
-        for d in [d for d, a in enumerate(alpha) if d < a] + list(range(len(alpha))):
-            if seen[d]:
-                continue
-            v = head[d] if flip[face_of[d]] else tail[d]
+        for v, ring in rings:
             if v in rotations:
-                loops = any(u == w for u, w in self.edges.values())
-                raise ComplexError(
-                    f"vertex {v} is pinched: its corners form more than one rotation"
-                    + ("; loop faces are read in their stored direction" if loops else "")
-                )
-            ring, x = [], d
-            while not seen[x]:
-                seen[x] = 1
-                ring.append(edge_of[x])
-                x = phi[alpha[x]]
-            rotations[v] = tuple(ring)
+                hint = "; the faces no vertex orients were also read reversed" if moves else ""
+                raise ComplexError(f"vertex {v} is pinched: it owns more than one rotation{hint}")
+            rotations[v] = ring
         self.rotations = rotations
-        if len(rotations) < len(self.vertices) or (pieces != 1 and not self._connected()):
+        # pieces meet only along loops: crossing every edge must reach every face
+        reached = set(pieces[0]) if pieces else set()
+        stack = list(reached) if len(pieces) > 1 else []
+        while stack:
+            i = stack.pop()
+            for j in map(face_of.__getitem__, alpha[first[i]:first[i + 1]]):
+                if j not in reached:
+                    reached.add(j)
+                    stack.append(j)
+        if not reached or len(reached) < len(face_ids) or len(rotations) < len(self.vertices):
             raise ComplexError("complex is not connected")
         chi = self.euler_characteristic
         if chi != 2 - 2 * self.genus:
@@ -234,47 +259,33 @@ class SurfaceComplex:
 
     def _face_walk(self, face: int) -> tuple[int, ...]:
         """Vertex sequence x_0..x_{k-1} with edge t joining x_t, x_{t+1}."""
-        cyc, edges = self.faces[face], self.edges
-        for start in edges[cyc[0]]:
-            walk, x = [], start
+        cyc = self.faces[face]
+        for start in self.edges[cyc[0]]:
+            walk = [start]
+            x = start
+            ok = True
             for e in cyc:
-                walk.append(x)
-                u, v = edges[e]
+                u, v = self.edges[e]
                 if x == u:
                     x = v
                 elif x == v:
                     x = u
                 else:
+                    ok = False
                     break
-            else:
-                if x == start:
-                    return tuple(walk)
+                walk.append(x)
+            if ok and x == walk[0]:
+                return tuple(walk[:-1])
         raise ComplexError(
             f"face {face} edge cycle is not a closed edge path "
             "(consecutive edges must chain through shared vertices)"
         )
-
-    def _connected(self) -> bool:
-        adjacency: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for u, v in self.edges.values():
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        seen, stack = set(self.vertices[:1]), list(self.vertices[:1])
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return bool(seen) and len(seen) == len(self.vertices)
 
     # -- derived structure ------------------------------------------------
 
     def edge_slots(self) -> dict[int, list[tuple[int, int]]]:
         """Edge id -> the two (face, position) slots bordering it."""
         return self.index.slots
-
-    def face_walk(self, face: int) -> tuple[int, ...]:
-        return self._walks[face]
 
     def vertex_degrees(self) -> dict[int, int]:
         return {v: len(ring) for v, ring in self.rotations.items()}
@@ -298,8 +309,6 @@ def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
 # -- JSON interchange ------------------------------------------------------
 
 _TOP_KEYS = {"genus", "label", "vertices", "edges", "faces"}
-_EDGE_KEYS = {"id", "ends"}
-_FACE_KEYS = {"id", "edge_cycle"}
 
 
 def complex_to_dict(c: SurfaceComplex) -> dict:
@@ -320,12 +329,6 @@ def _as_id(value, what: str) -> int:
     return value
 
 
-def _as_ids(values: list, what: str) -> list[int]:
-    if all(type(v) is int for v in values):  # JSON ids: one pass, not one call per id
-        return values
-    return [_as_id(v, what) for v in values]
-
-
 def complex_from_dict(doc: dict) -> SurfaceComplex:
     if not isinstance(doc, dict):
         raise ComplexError("complex document must be a JSON object")
@@ -341,10 +344,10 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         if not isinstance(doc[key], list):
             raise ComplexError(f"{key} must be a list")
     genus = _as_id(doc["genus"], "genus")
-    vertices = _as_ids(doc["vertices"], "vertex id")
+    vertices = [_as_id(v, "vertex id") for v in doc["vertices"]]
     edges = {}
     for item in doc["edges"]:
-        if not isinstance(item, dict) or item.keys() != _EDGE_KEYS:
+        if not isinstance(item, dict) or set(item) != {"id", "ends"}:
             raise ComplexError("edge entries must have exactly the keys 'id' and 'ends'")
         if not isinstance(item["ends"], list) or len(item["ends"]) != 2:
             raise ComplexError(f"edge {item['id']} must have exactly two ends")
@@ -354,7 +357,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         edges[eid] = (_as_id(item["ends"][0], "edge end"), _as_id(item["ends"][1], "edge end"))
     faces = {}
     for item in doc["faces"]:
-        if not isinstance(item, dict) or item.keys() != _FACE_KEYS:
+        if not isinstance(item, dict) or set(item) != {"id", "edge_cycle"}:
             raise ComplexError(
                 "face entries must have exactly the keys 'id' and 'edge_cycle'"
             )
@@ -363,7 +366,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
             raise ComplexError(f"duplicate face id {fid}")
         if not isinstance(item["edge_cycle"], list):
             raise ComplexError(f"face {fid} edge_cycle must be a list")
-        faces[fid] = _as_ids(item["edge_cycle"], "face edge")
+        faces[fid] = tuple(_as_id(e, "face edge") for e in item["edge_cycle"])
     return SurfaceComplex(
         genus=genus,
         vertices=vertices,

@@ -84,16 +84,22 @@ def _connected(phi: list[int], alpha: list[int]) -> bool:
 
 
 def pinch_two_pairs(doc: dict, rng: random.Random) -> dict | None:
-    """Identify two disjoint pairs of non-adjacent vertices and add 1 to the genus.
+    """Identify two disjoint pairs of vertices and add 1 to the genus.
 
-    Euler's formula still holds, but each merged vertex owns two rotations.
-    Returns None when the document has no two such pairs.
+    No face holds both vertices of a pair, so every face walk keeps its
+    shape and each merged vertex owns two rotations in every reading of the
+    faces, while Euler's formula still holds.  Returns None when the
+    document has no two such pairs.
     """
-    adjacent = {frozenset(item["ends"]) for item in doc["edges"]}
+    ends = {item["id"]: item["ends"] for item in doc["edges"]}
+    cofacial = set()
+    for item in doc["faces"]:
+        on_face = {v for e in item["edge_cycle"] for v in ends[e]}
+        cofacial |= {frozenset((a, b)) for a in on_face for b in on_face}
     vertices = list(doc["vertices"])
     pairs = [
         (a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]
-        if frozenset((a, b)) not in adjacent
+        if frozenset((a, b)) not in cofacial
     ]
     rng.shuffle(pairs)
     for i, (a, b) in enumerate(pairs):

@@ -20,6 +20,22 @@ from atqc.stabilizer import build_css, verify_stabilizers
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
 
 
+def face_walk(c: SurfaceComplex, face: int) -> tuple[int, ...]:
+    """Vertex sequence x_0..x_{k-1} of a face, edge t joining x_t and x_{t+1}."""
+    cyc = c.faces[face]
+    for start in c.edges[cyc[0]]:
+        walk = [start]
+        for e in cyc:
+            u, v = c.edges[e]
+            if walk[-1] not in (u, v):
+                break
+            walk.append(v if walk[-1] == u else u)
+        else:
+            if walk[-1] == start:
+                return tuple(walk[:-1])
+    raise AssertionError(f"face {face} is not a closed walk")
+
+
 def merge_across(c: SurfaceComplex, edge: int) -> SurfaceComplex:
     """Dissolve an edge between two distinct faces, splicing their cycles."""
     slots = c.edge_slots()
@@ -28,7 +44,7 @@ def merge_across(c: SurfaceComplex, edge: int) -> SurfaceComplex:
 
     def rotated(face, t):
         cyc = c.faces[face]
-        walk = c.face_walk(face)
+        walk = face_walk(c, face)
         cyc = cyc[t:] + cyc[:t]  # edge first
         walk = walk[t:] + walk[:t]
         return cyc[1:], walk[1 % len(walk)], walk[0]  # path edges, path start, path end

@@ -23,7 +23,7 @@ from atqc.complexes import (
     dual_complex,
     load_complex,
 )
-from atqc.distance import oracle_distances, shortest_nontrivial_cycle
+from atqc.distance import code_distances, oracle_distances, shortest_nontrivial_cycle
 from atqc.errors import ComplexError
 from atqc.stabilizer import build_css
 from atqc.torus import SquareTorusSpec, build_square_torus
@@ -120,6 +120,53 @@ def test_dual_of_dual_on_random_merges():
     assert count == 240
 
 
+# the dual of the fourth seed-43 merge as an earlier save_complex wrote it:
+# every face reflected to its least form, which turned face 1, three loops
+# tied to the rest only at vertex 0, against the faces around it
+REFLECTED_DUAL = {
+    "genus": 1,
+    "label": "dual(hex-torus-apothem scale=2 minus edge 9 minus edge 10)",
+    "vertices": [0, 2],
+    "edges": [{"id": e, "ends": [0, 0] if e in (0, 5, 7, 11) else [0, 2]}
+              for e in (0, 1, 2, 3, 4, 5, 6, 7, 8, 11)],
+    "faces": [{"id": f, "edge_cycle": cycle} for f, cycle in enumerate(
+        [[0, 1, 2], [0, 5, 7], [3, 4, 5], [2, 3], [6, 7, 8], [1, 6, 11], [11], [4, 8]]
+    )],
+}
+
+
+def test_dual_saved_with_reflected_faces_loads(tmp_path, capsys):
+    primal = list(random_merges(43))[3]
+    assert REFLECTED_DUAL["label"] == f"dual({primal.label})"
+    c = complex_from_dict(copy.deepcopy(REFLECTED_DUAL))
+    assert sorted(c.rotations) == [0, 2]
+    assert c.index.face_masks == dual_complex(primal).index.face_masks
+    r = code_distances(primal)
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(REFLECTED_DUAL))
+    assert cli.main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["distance", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["d_x"], out["d_z"]) == (r.d_z, r.d_x)
+
+
+def test_duals_with_reflected_faces_load():
+    # the earlier writer stored each face as its normalize_cycle form
+    count = 0
+    for seed in range(41, 61):
+        for c in random_merges(seed):
+            d = dual_complex(c)
+            doc = complex_to_dict(d)
+            for item in doc["faces"]:
+                item["edge_cycle"] = list(normalize_cycle(item["edge_cycle"]))
+            back = complex_from_dict(doc)
+            assert back.index.face_masks == d.index.face_masks, c.label
+            assert len(back.rotations) == back.num_vertices
+            count += 1
+    assert count == 240
+
+
 GLUING_COUNT = 300
 
 
@@ -170,7 +217,7 @@ def test_gluings_search_reference_and_oracle_agree(gluings):
 
 def test_pinched_gluings_are_rejected(gluings, corpus):
     rng = random.Random(5)
-    docs = [doc for doc, _ in gluings] + [complex_to_dict(c) for c in corpus]
+    docs = [doc for doc, _ in gluings] + [complex_to_dict(c) for c in corpus] * 3
     pinched = [p for p in (pinch_two_pairs(doc, rng) for doc in docs) if p is not None]
     assert len(pinched) >= 20
     for doc in pinched:
@@ -201,7 +248,7 @@ def test_one_vertex_torus_rotation():
     c = one_vertex_torus()
     assert c.rotations == {0: (0, 1, 0, 1)}
     # the same face with its loops side by side is a sphere with three vertices pinched
-    with pytest.raises(ComplexError, match="pinched.*loop faces are read"):
+    with pytest.raises(ComplexError, match="pinched.*also read reversed"):
         SurfaceComplex(1, [0], {0: (0, 0), 1: (0, 0)}, {0: (0, 0, 1, 1)})
 
 
