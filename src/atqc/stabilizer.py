@@ -185,10 +185,15 @@ def read_alist(source: IO[str]) -> BinaryMatrix:
     return BinaryMatrix(m_rows, n, data)
 
 
+def _row_bits(word: int, cols: int) -> str:
+    """One row as 0/1 text, column 0 first; the sentinel bit at ``cols``
+    keeps leading zeros (and a 0-column row empty) and is cut off."""
+    return format(word | 1 << cols, "b")[:0:-1]
+
+
 def write_dense_text(m: BinaryMatrix, sink: IO[str]) -> None:
     for word in m.data:
-        sink.write("".join("1" if (word >> j) & 1 else "0" for j in range(m.cols)))
-        sink.write("\n")
+        sink.write(_row_bits(word, m.cols) + "\n")
 
 
 def read_dense_text(source: IO[str]) -> BinaryMatrix:
@@ -196,23 +201,30 @@ def read_dense_text(source: IO[str]) -> BinaryMatrix:
     if not lines:
         raise InputError("empty dense-text matrix")
     width = len(lines[0])
-    rows = []
+    words = []
     for line in lines:
         if len(line) != width or set(line) - {"0", "1"}:
             raise InputError("dense-text rows must be equal-length strings of 0/1")
-        rows.append([int(ch) for ch in line])
-    return BinaryMatrix.from_rows(rows, width)
+        words.append(int(line[::-1], 2))
+    return BinaryMatrix(len(words), width, words)
 
 
-def code_to_dict(code: CssCode) -> dict:
-    return {
-        "n": code.n,
-        "k": code.k,
-        "genus": code.genus,
-        "hx": code.hx.to_lists(),
-        "hz": code.hz.to_lists(),
-        "label": code.source_label,
-    }
+def _write_json(code: CssCode, sink: IO[str]) -> None:
+    """The layout of ``json.dump(doc, indent=1, sort_keys=True)`` plus a
+    newline, streamed one matrix row at a time."""
+    sink.write(f'{{\n "genus": {json.dumps(code.genus)},\n')
+    for key, m in (("hx", code.hx), ("hz", code.hz)):
+        sink.write(f' "{key}": [')
+        sep = "\n"
+        for word in m.data:
+            bits = _row_bits(word, m.cols)
+            sink.write(sep + ("  [\n   " + ",\n   ".join(bits) + "\n  ]" if bits else "  []"))
+            sep = ",\n"
+        sink.write("\n ],\n" if m.rows else "],\n")
+    sink.write(
+        f' "k": {json.dumps(code.k)},\n "label": {json.dumps(code.source_label)},\n'
+        f' "n": {json.dumps(code.n)}\n}}\n'
+    )
 
 
 def export_checks(code: CssCode, format: str, sink: IO[str], matrix: str = "hz") -> None:
@@ -222,7 +234,6 @@ def export_checks(code: CssCode, format: str, sink: IO[str], matrix: str = "hz")
     elif format == DENSE_TEXT:
         write_dense_text(_select_matrix(code, matrix), sink)
     elif format == JSON_FORMAT:
-        json.dump(code_to_dict(code), sink, indent=1, sort_keys=True)
-        sink.write("\n")
+        _write_json(code, sink)
     else:
         raise InputError(f"unknown export format {format!r}; choose from {EXPORT_FORMATS}")

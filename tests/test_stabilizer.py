@@ -1,11 +1,12 @@
 import dataclasses
 import io
+import json
 import re
 
 import pytest
 
 from atqc.binmat import BinaryMatrix, in_row_space, parity
-from atqc.complexes import dual_complex
+from atqc.complexes import complex_to_dict, dual_complex, load_complex
 from atqc.errors import IntegrityError, InputError
 from atqc.homology import boundary_matrices, cocycle_basis, homology_signature
 from atqc.stabilizer import (
@@ -209,8 +210,6 @@ def test_json_export_carries_metadata(ingested_genus2):
     code = build_css(ingested_genus2)
     buf = io.StringIO()
     export_checks(code, "json", buf)
-    import json
-
     doc = json.loads(buf.getvalue())
     assert doc["n"] == 24 and doc["k"] == 4 and doc["genus"] == 2
     assert doc["label"] == ingested_genus2.label
@@ -221,3 +220,65 @@ def test_export_rejects_unknown_format():
     code = build_css(build_square_torus(SquareTorusSpec(2)))
     with pytest.raises(InputError):
         export_checks(code, "yaml", io.StringIO())
+
+
+# -- byte identity against the per-bit writers ------------------------------
+
+
+def reference_dense_text(m: BinaryMatrix) -> str:
+    return "".join(
+        "".join("1" if (word >> j) & 1 else "0" for j in range(m.cols)) + "\n"
+        for word in m.data
+    )
+
+
+def reference_json(code: CssCode) -> str:
+    doc = {
+        "n": code.n,
+        "k": code.k,
+        "genus": code.genus,
+        "hx": code.hx.to_lists(),
+        "hz": code.hz.to_lists(),
+        "label": code.source_label,
+    }
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def reference_export(code: CssCode, format: str, matrix: str) -> str:
+    m = code.hx if matrix == "hx" else code.hz
+    if format == "alist":
+        buf = io.StringIO()
+        write_alist(m, buf)
+        return buf.getvalue()
+    if format == "dense-text":
+        return reference_dense_text(m)
+    return reference_json(code)
+
+
+def assert_exports_match_reference(code: CssCode) -> None:
+    for format in ("alist", "dense-text", "json"):
+        for matrix in ("hx", "hz"):
+            buf = io.StringIO()
+            export_checks(code, format, buf, matrix=matrix)
+            assert buf.getvalue() == reference_export(code, format, matrix), (format, matrix)
+
+
+def test_exports_byte_identical_on_corpus(corpus):
+    # the corpus ends with the ingested {8,3} complex
+    for c in corpus:
+        assert_exports_match_reference(build_css(c))
+
+
+def test_json_export_escapes_label_like_json_dump():
+    doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
+    doc["label"] = 'caf\u00e9 "quoted" back\\slash\nsecond line'
+    code = build_css(load_complex(io.StringIO(json.dumps(doc, ensure_ascii=False))))
+    assert code.source_label == doc["label"]
+    assert_exports_match_reference(code)
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 5), (3, 0), (0, 0), (1, 64)])
+def test_exports_byte_identical_on_edge_shapes(rows, cols):
+    code = build_css(build_square_torus(SquareTorusSpec(2)))
+    m = BinaryMatrix(rows, cols, [(1 << cols) - 1 - (i % 2) for i in range(rows)])
+    assert_exports_match_reference(dataclasses.replace(code, hx=m, hz=m))
