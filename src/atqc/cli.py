@@ -23,7 +23,7 @@ from .distance import BOTH_AGREE, DistanceResult, certified_distances, oracle_ce
 from .errors import AtqcError, ComplexError, DiscrepancyError, InputError
 from .geometry import SchlafliPair, classify
 from .homology import betti1
-from .stabilizer import EXPORT_FORMATS, build_css, export_checks, verify_stabilizers
+from .stabilizer import EXPORT_FORMATS, JSON_FORMAT, build_css, export_checks, verify_stabilizers
 from .torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
 
 EXIT_OK = 0
@@ -111,6 +111,7 @@ def cmd_check(args) -> int:
             "n": code.n,
             "k": code.k,
             "independent_generators": report.independent_generators,
+            "checks": list(report.checks),
             "degenerate_faces": list(c.degenerate_faces),
             "warnings": list(code.warnings),
             "ok": True,
@@ -129,9 +130,11 @@ def cmd_distance(args) -> int:
 
 
 def cmd_export(args) -> int:
-    c = _load(args.file)
-    code = build_css(c)
-    return _deliver(args.out, partial(export_checks, code, args.format, matrix=args.matrix))
+    if args.matrix is not None and args.format == JSON_FORMAT:
+        raise InputError("--matrix applies to alist and dense-text; json carries both matrices")
+    code = build_css(_load(args.file))
+    render = partial(export_checks, code, args.format, matrix=args.matrix or "hz")
+    return _deliver(args.out, render)
 
 
 def cmd_table(args) -> int:
@@ -196,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="serialize parity-check matrices")
     p_export.add_argument("file", help="complex JSON path, or - for stdin")
     p_export.add_argument("--format", choices=EXPORT_FORMATS, required=True)
-    p_export.add_argument("--matrix", choices=("hx", "hz"), default="hz")
+    p_export.add_argument("--matrix", choices=("hx", "hz"), help="alist/dense-text; default hz")
     p_export.add_argument("--out", metavar="FILE")
     p_export.set_defaults(func=cmd_export)
 

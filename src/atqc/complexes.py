@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress
 from typing import IO, Iterable, Mapping
 
@@ -77,8 +78,9 @@ class SurfaceComplex:
         self.genus = int(genus)
         self.label = str(label)
         self.vertices = tuple(vertices)
-        self.edges = {int(e): (int(u), int(v)) for e, (u, v) in edges.items()}
-        self.faces = {int(f): tuple(int(e) for e in cyc) for f, cyc in faces.items()}
+        ints = partial(map, int)
+        self.edges = dict(zip(ints(edges), map(tuple, map(ints, edges.values()))))
+        self.faces = dict(zip(ints(faces), map(tuple, map(ints, faces.values()))))
         self._validate()
 
     # -- basic accessors ---------------------------------------------------
@@ -329,6 +331,13 @@ def _as_id(value, what: str) -> int:
     return value
 
 
+def _as_ids(values: list, what: str) -> list:
+    """One type pass over an id list; the per-id scan runs only to name a bad id."""
+    if not set(map(type, values)) <= {int}:
+        values = [_as_id(value, what) for value in values]
+    return values
+
+
 def complex_from_dict(doc: dict) -> SurfaceComplex:
     if not isinstance(doc, dict):
         raise ComplexError("complex document must be a JSON object")
@@ -344,7 +353,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         if not isinstance(doc[key], list):
             raise ComplexError(f"{key} must be a list")
     genus = _as_id(doc["genus"], "genus")
-    vertices = [_as_id(v, "vertex id") for v in doc["vertices"]]
+    vertices = _as_ids(doc["vertices"], "vertex id")
     edges = {}
     for item in doc["edges"]:
         if not isinstance(item, dict) or set(item) != {"id", "ends"}:
@@ -354,7 +363,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         eid = _as_id(item["id"], "edge id")
         if eid in edges:
             raise ComplexError(f"duplicate edge id {eid}")
-        edges[eid] = (_as_id(item["ends"][0], "edge end"), _as_id(item["ends"][1], "edge end"))
+        edges[eid] = _as_ids(item["ends"], "edge end")
     faces = {}
     for item in doc["faces"]:
         if not isinstance(item, dict) or set(item) != {"id", "edge_cycle"}:
@@ -366,7 +375,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
             raise ComplexError(f"duplicate face id {fid}")
         if not isinstance(item["edge_cycle"], list):
             raise ComplexError(f"face {fid} edge_cycle must be a list")
-        faces[fid] = tuple(_as_id(e, "face edge") for e in item["edge_cycle"])
+        faces[fid] = _as_ids(item["edge_cycle"], "face edge")
     return SurfaceComplex(
         genus=genus,
         vertices=vertices,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 from typing import IO
 
 from .binmat import BinaryMatrix, support
@@ -81,12 +83,42 @@ def build_css(c: SurfaceComplex) -> CssCode:
     )
 
 
+CHECKS = ("commutation", "face_product", "vertex_product", "edge_incidence", "generator_count")
+
+
 @dataclass(frozen=True)
 class StabilizerReport:
     n: int
     k: int
     independent_generators: int
     expected_generators: int
+    checks: tuple[str, ...] = CHECKS
+
+
+def incidence_rank(m: BinaryMatrix, edge_ids: tuple[int, ...]) -> int:
+    """GF(2) rank of a matrix whose columns have weight 0 or 2, the incidence
+    matrix of a multigraph on its rows: rows minus components (zero rows count),
+    since the only relations are the component sums.  A heavier column raises."""
+    # end[j] is -1 until column j meets a row, then that row, then -2 once it has two
+    root, end = list(range(m.rows)), [-1] * m.cols
+    rank = 0
+    for i, word in enumerate(m.data):
+        while word:
+            j = (word & -word).bit_length() - 1
+            word &= word - 1
+            a = end[j]
+            if a == -1:
+                end[j] = i
+                continue
+            if a == -2:
+                weight = sum((w >> j) & 1 for w in m.data)
+                raise IntegrityError(f"edge {edge_ids[j]} is in {weight} checks, expected 0 or 2")
+            end[j] = -2
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            root[a] = i  # only the current row is ever linked to, so row i is a root
+            rank += a != i
+    return rank
 
 
 def verify_stabilizers(code: CssCode) -> StabilizerReport:
@@ -98,17 +130,11 @@ def verify_stabilizers(code: CssCode) -> StabilizerReport:
                 f"X check on face {code.face_ids[i]} anticommutes with Z check "
                 f"on vertex {code.vertex_ids[j]}"
             )
-    x_product = 0
-    for row in code.hx.data:
-        x_product ^= row
-    z_product = 0
-    for row in code.hz.data:
-        z_product ^= row
-    if x_product:
+    if reduce(xor, code.hx.data, 0):
         raise IntegrityError("product of all face operators is not the identity")
-    if z_product:
+    if reduce(xor, code.hz.data, 0):
         raise IntegrityError("product of all vertex operators is not the identity")
-    independent = code.hx.rank() + code.hz.rank()
+    independent = incidence_rank(code.hx, code.edge_ids) + incidence_rank(code.hz, code.edge_ids)
     expected = len(code.vertex_ids) + len(code.face_ids) - 2
     if independent != expected:
         raise IntegrityError(

@@ -63,6 +63,19 @@ def test_build_check_distance_pipeline():
     assert (doc["d_x"], doc["d_z"], doc["method"]) == (4, 2, "both-agree")
 
 
+def test_check_lists_the_checks_that_ran(capsys):
+    assert cli.main(["check", str(DATA)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["checks"] == [
+        "commutation",
+        "face_product",
+        "vertex_product",
+        "edge_incidence",
+        "generator_count",
+    ]
+    assert doc["ok"] is True and doc["independent_generators"] == 16 + 6 - 2
+
+
 def test_build_requires_exactly_one_spec():
     proc = run_cli("build", "--square", "3", "--hex-apothem", "2")
     assert proc.returncode == 2
@@ -86,8 +99,17 @@ def test_export_alist_hz_default():
 def test_export_roundtrip_formats(tmp_path):
     built = run_cli("build", "--square", "2")
     for fmt in ("alist", "dense-text", "json"):
-        proc = run_cli("export", "-", "--format", fmt, "--matrix", "hx", stdin=built.stdout)
+        matrix = () if fmt == "json" else ("--matrix", "hx")
+        proc = run_cli("export", "-", "--format", fmt, *matrix, stdin=built.stdout)
         assert proc.returncode == 0 and proc.stdout
+
+
+def test_export_rejects_matrix_with_json():
+    built = run_cli("build", "--square", "2")
+    for matrix in ("hx", "hz"):
+        proc = run_cli("export", "-", "--format", "json", "--matrix", matrix, stdin=built.stdout)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--matrix" in proc.stderr
 
 
 def test_distance_on_data_file():

@@ -97,6 +97,37 @@ def test_wrong_typed_fields_rejected():
         complex_from_dict(doc)
 
 
+BAD_ID_SITES = {
+    "genus": lambda doc: (doc, "genus"),
+    "vertex id": lambda doc: (doc["vertices"], 2),
+    "edge id": lambda doc: (doc["edges"][2], "id"),
+    "edge end": lambda doc: (doc["edges"][2]["ends"], 1),
+    "face id": lambda doc: (doc["faces"][2], "id"),
+    "face edge": lambda doc: (doc["faces"][2]["edge_cycle"], 2),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+@pytest.mark.parametrize("what", sorted(BAD_ID_SITES))
+def test_each_bad_id_is_named(what, bad):
+    doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
+    holder, key = BAD_ID_SITES[what](doc)
+    holder[key] = bad
+    with pytest.raises(ComplexError) as exc:
+        complex_from_dict(doc)
+    assert str(exc.value) == f"{what} must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("what", ["vertex id", "edge end", "face edge"])
+def test_first_bad_id_in_a_list_is_named(what):
+    doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
+    ids, key = BAD_ID_SITES[what](doc)
+    ids[key - 1], ids[key] = 2.0, "x"
+    with pytest.raises(ComplexError) as exc:
+        complex_from_dict(doc)
+    assert str(exc.value) == f"{what} must be an integer, got 2.0"
+
+
 def test_edge_with_unknown_vertex_rejected():
     doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
     doc["edges"][0]["ends"] = [0, 99]

@@ -1,18 +1,22 @@
 import dataclasses
 import io
 import json
+import random
 import re
 
 import pytest
+from gluings import random_gluing
+from test_irregular import random_merges
 
-from atqc.binmat import BinaryMatrix, in_row_space, parity
-from atqc.complexes import complex_to_dict, dual_complex, load_complex
+from atqc.binmat import BinaryMatrix, RowBasis, in_row_space, parity
+from atqc.complexes import complex_from_dict, complex_to_dict, dual_complex, load_complex
 from atqc.errors import IntegrityError, InputError
 from atqc.homology import boundary_matrices, cocycle_basis, homology_signature
 from atqc.stabilizer import (
     CssCode,
     build_css,
     export_checks,
+    incidence_rank,
     read_alist,
     read_dense_text,
     verify_stabilizers,
@@ -121,6 +125,80 @@ def test_verify_names_the_first_anticommuting_pair(corpus):
         )
         with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
             verify_stabilizers(dataclasses.replace(code, hx=hx))
+
+
+def assert_incidence_rank_is_elimination_rank(c):
+    code = build_css(c)
+    for m in (code.hx, code.hz):
+        assert incidence_rank(m, code.edge_ids) == RowBasis(m.data).rank, c.label
+
+
+def test_incidence_rank_equals_elimination_on_corpus(corpus):
+    for c in corpus:
+        assert_incidence_rank_is_elimination_rank(c)
+
+
+def test_incidence_rank_equals_elimination_on_gluings():
+    rng = random.Random(20211)
+    for _ in range(300):
+        assert_incidence_rank_is_elimination_rank(complex_from_dict(random_gluing(rng)[0]))
+
+
+def test_incidence_rank_equals_elimination_on_merges():
+    for seed in range(41, 61):
+        for c in random_merges(seed):
+            assert_incidence_rank_is_elimination_rank(c)
+
+
+def square2_code_with(**rows):
+    """The L = 2 square torus code with a matrix's rows replaced by the picked
+    ones; its faces and vertices are 0..3 = (row, column) (0,0) (0,1) (1,0) (1,1)."""
+    code = build_css(build_square_torus(SquareTorusSpec(2)))
+    picked = {}
+    for key, pick in rows.items():
+        m = getattr(code, key)
+        picked[key] = BinaryMatrix(m.rows, m.cols, [m.data[i] for i in pick])
+    return dataclasses.replace(code, **picked)
+
+
+@pytest.mark.parametrize("key", ["hx", "hz"])
+def test_duplicated_rows_lower_the_generator_count(key):
+    # each diagonal check twice: every edge still in two checks, both products
+    # trivial, commutation kept, but the rows split into two components
+    code = square2_code_with(**{key: (0, 0, 3, 3)})
+    m = getattr(code, key)
+    assert incidence_rank(m, code.edge_ids) == RowBasis(m.data).rank == 2
+    message = "5 independent generators, expected |V|+|F|-2 = 6"
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        verify_stabilizers(code)
+
+
+@pytest.mark.parametrize("key", ["hx", "hz"])
+def test_edge_in_four_checks_is_named(key):
+    # two vertically adjacent checks, each twice: their two shared edges sit
+    # in four checks, which the product checks cannot see
+    code = square2_code_with(**{key: (0, 0, 2, 2)})
+    m = getattr(code, key)
+    shared = m.data[0] & m.data[2]
+    edge = code.edge_ids[(shared & -shared).bit_length() - 1]
+    message = f"edge {edge} is in 4 checks, expected 0 or 2"
+    with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+        verify_stabilizers(code)
+    with pytest.raises(IntegrityError, match="is in 4 checks"):
+        incidence_rank(m, code.edge_ids)
+
+
+def test_product_checks_fire_before_edge_incidence():
+    # adding one check to another keeps commutation but leaves edges in one
+    # or three checks; test_verify_rejects_broken_commutation shows that
+    # commutation fires before both
+    code = build_css(build_square_torus(SquareTorusSpec(2)))
+    for key, what in (("hx", "face"), ("hz", "vertex")):
+        m = getattr(code, key)
+        rows = [m.data[0] ^ m.data[1]] + m.data[1:]
+        bent = dataclasses.replace(code, **{key: BinaryMatrix(m.rows, m.cols, rows)})
+        with pytest.raises(IntegrityError, match=f"^product of all {what} operators"):
+            verify_stabilizers(bent)
 
 
 def test_degenerate_build_warns():
