@@ -47,10 +47,14 @@ class ComplexIndex:
     edge id to its bit position in every edge mask; ``slots`` maps an edge
     to its two (face, position) slots in ascending order; ``face_masks`` and
     ``star_masks`` are the Z2 face boundaries and vertex stars over that
-    order.  Validation builds these.  ``chain`` and ``bases`` are filled on
-    first use by :mod:`atqc.homology`; threads racing to fill one compute
-    equal values, so no lock is needed.  Nothing mutates what the index
-    hands out.
+    order.  The map validation accepted is kept over its darts, the face
+    slots in (face id, position) order: ``alpha`` pairs an edge's two slots,
+    ``phi`` steps along a face as read, ``dart_vertex`` is the id of the
+    vertex whose rotation holds a dart and ``dart_face`` its face's dense
+    index.  Validation builds these.  ``chain`` and ``bases`` are filled on
+    first use by :mod:`atqc.homology`, ``orbits`` by :mod:`atqc.distance`;
+    threads racing to fill one compute equal values, so no lock is needed.
+    Nothing mutates what the index hands out.
     """
 
     edge_ids: tuple[int, ...]
@@ -60,8 +64,13 @@ class ComplexIndex:
     slots: dict[int, list[tuple[int, int]]]
     face_masks: dict[int, int]
     star_masks: dict[int, int]
+    alpha: list[int]
+    phi: list[int]
+    dart_vertex: list[int]
+    dart_face: list[int]
     chain: object = None
     bases: tuple | None = None
+    orbits: tuple | None = None
 
 
 class SurfaceComplex:
@@ -146,9 +155,6 @@ class SurfaceComplex:
             raise ComplexError(
                 f"edge {bad[0]} borders {len(slots[bad[0]])} face-slots, expected exactly 2"
             )
-        self.index = ComplexIndex(
-            edge_ids, bit, tuple(sorted(self.vertices)), face_ids, slots, face_masks, stars
-        )
         # darts are the face slots in (face id, position) order; alpha pairs
         # the two slots of an edge, so d < alpha[d] marks an edge's first slot
         offset, alpha = dict(zip(face_ids, first)), [0] * len(edge_of)
@@ -193,23 +199,24 @@ class SurfaceComplex:
         # from its other end, so it keeps its stored order
         rev = [f and not alt for f, alt in zip(flip, alternating)]
 
-        def sigma_cycles() -> list[tuple[int, tuple[int, ...]]]:
-            # the cycles of sigma = phi . alpha are the vertex rotations; each
-            # one starts at an edge's first slot where it has one
+        def sigma_cycles():
+            # the cycles of sigma = phi . alpha are the vertex rotations; each one
+            # starts at an edge's first slot where it has one and owns its darts
             phi = []
             for r, lo, hi in zip(rev, first, first[1:]):
                 phi += [hi - 1, *range(lo, hi - 1)] if r else [*range(lo + 1, hi), lo]
-            rings, seen = [], bytearray(len(alpha))
+            rings, owner = [], [None] * len(alpha)
             for d in [d for d, a in enumerate(alpha) if d < a] + list(range(len(alpha))):
-                if seen[d]:
+                if owner[d] is not None:
                     continue
+                v = head[d] if flip[face_of[d]] else tail[d]
                 ring, x = [], d
-                while not seen[x]:
-                    seen[x] = 1
+                while owner[x] is None:
+                    owner[x] = v
                     ring.append(edge_of[x])
                     x = phi[alpha[x]]
-                rings.append((head[d] if flip[face_of[d]] else tail[d], tuple(ring)))
-            return rings
+                rings.append((v, tuple(ring)))
+            return rings, phi, owner
 
         def reverse(faces, turn):
             for i in faces:
@@ -221,14 +228,14 @@ class SurfaceComplex:
         # is pinched, reverse each in turn and keep it if it joins rotations
         moves = [(p, 1) for p in pieces[1:]]
         moves += [((i,), 0) for i in compress(range(len(face_ids)), alternating)]
-        rings = sigma_cycles()
+        rings, phi, owner = sigma_cycles()
         for faces, turn in moves:
             if len({v for v, _ in rings}) == len(rings):
                 break
             reverse(faces, turn)
             trial = sigma_cycles()
-            if len(trial) < len(rings):
-                rings = trial
+            if len(trial[0]) < len(rings):
+                rings, phi, owner = trial
             else:
                 reverse(faces, turn)
         rotations: dict[int, tuple[int, ...]] = {}
@@ -255,6 +262,8 @@ class SurfaceComplex:
                 f"Euler characteristic {chi} inconsistent with genus {self.genus} "
                 f"(expected {2 - 2 * self.genus})"
             )
+        self.index = ComplexIndex(edge_ids, bit, tuple(sorted(self.vertices)), face_ids, slots,
+                                  face_masks, stars, alpha, phi, owner, face_of)
         self.degenerate_faces = tuple(
             f for f in face_ids if len(set(self.faces[f])) < len(self.faces[f])
         )

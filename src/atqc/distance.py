@@ -7,23 +7,36 @@ Two independent routes:
   carrying the 2g-bit homology signature of its tree path (its pairings
   with the cocycle basis).  A non-tree edge e = (u, w) closes the
   fundamental cycle P(x,u) + e + P(x,w), nontrivial iff
-  sig(u) ^ sig(w) ^ sig(e) != 0.  The minimum over all roots is exact:
-  take a shortest nontrivial cycle C, of weight L, and a root x on C.  C
-  is the Z2 sum of the fundamental cycles of its non-tree edges (the rest
-  would be a cycle inside a tree) and signatures add, so some non-tree
-  edge (u, w) of C closes a nontrivial one; walking C from x either way
-  reaches u and w in a and L - 1 - a steps, so that candidate's walk has
-  dist(x,u) + dist(x,w) + 1 <= L edges.  XOR-ing two tree paths that
-  share a prefix drops the shared edges twice: what is left is a cycle of
-  the same class (each dropped edge meets every cocycle twice) and no
-  heavier than the walk, so it cannot hurt, and nothing undercuts L.  A
-  root stops at depth d once 2d + 1 >= best, since every edge met later
-  closes a walk that long; a witness mask is built only when a walk beats
-  the best.  Cost O(V * E), O(V) state per root, no 2^(2g) factor.  Roots
-  go in ascending vertex order and edges in ascending dense index, so
-  witnesses are deterministic.  d_x runs on the graph of the complex, d_z
-  on its face adjacency (the dual's graph; ``dual=True``) with signatures
-  against the primal cycle basis: nothing above depends on the graph.
+  sig(u) ^ sig(w) ^ sig(e) != 0.  The minimum over one root per orbit is
+  exact.  Take a shortest nontrivial cycle, of weight L, through a vertex
+  y.  A map automorphism is a homeomorphism of the surface, so it carries
+  that cycle to a nontrivial cycle C of weight L through the root x of
+  y's orbit.  C is the Z2 sum of the fundamental cycles of its non-tree
+  edges (the rest would be a cycle inside a tree) and signatures add, so
+  some non-tree edge (u, w) of C closes a nontrivial one; walking C from x
+  either way reaches u and w in a and L - 1 - a steps, so that
+  candidate's walk has dist(x,u) + dist(x,w) + 1 <= L edges.  XOR-ing
+  two tree paths that share a prefix drops the shared edges twice: what
+  is left is a cycle of the same class (each dropped edge meets every
+  cocycle twice) and no heavier than the walk, so it cannot hurt, and
+  nothing undercuts L.  A root stops at depth d once 2d + 1 >= best,
+  since every edge met later closes a walk that long; a witness mask is
+  built only when a walk beats the best.  Each root costs O(E) with O(V) state, no 2^(2g) factor.
+  Roots (the smallest dense index of each orbit) go in ascending order and
+  edges in ascending dense index, so witnesses are deterministic.  d_x
+  runs on the graph of the complex, d_z on its face adjacency (the dual's
+  graph; ``dual=True``, face orbits) with signatures against the primal
+  cycle basis: nothing above depends on the graph.
+
+  :func:`map_orbits` finds the orbits.  A map is rigid: an automorphism
+  (psi commutes with alpha and phi) is fixed by one dart's image, so
+  whether dart d0 at vertex 0 goes to d is one O(E) walk.  Vertices not
+  yet joined to vertex 0 are visited in dense order and each dart at one
+  is tried; an automorphism found joins every vertex and face to its
+  image in a union-find.  The first vertex with no extending dart ends
+  the sweep; faces follow likewise if anything was found.  Any subgroup
+  is sound.  A vertex-transitive torus costs a few walks and one root per
+  side; a map with no symmetry, deg(v) failed walks and all V roots.
 * :func:`oracle_distances` exhaustively enumerates ker(hz) (organized as
   cosets of rowspace(hx), walked in Gray-code order) and takes the
   minimum weight outside the stabilizer row space.  It is the ground
@@ -34,6 +47,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 
 from .binmat import RowBasis, support
 from .complexes import SurfaceComplex
@@ -67,6 +81,60 @@ def oracle_ceiling_from_env(default: int = DEFAULT_ORACLE_CEILING) -> int:
         raise InputError(f"ATQC_ORACLE_CEILING must be an integer, got {raw!r}") from exc
 
 
+def _extend(alpha: list[int], phi: list[int], d0: int, d: int) -> list[int] | None:
+    """The automorphism taking dart d0 to d, or None.
+
+    alpha and phi reach every dart, so a map that commutes with both is
+    onto, hence a permutation, once it is defined everywhere.
+    """
+    psi, stack = [-1] * len(alpha), [(d0, d)]
+    while stack:
+        x, y = stack.pop()
+        while psi[x] < 0:  # map x's face onto y's, then cross each of its edges
+            psi[x] = y
+            stack.append((alpha[x], alpha[y]))
+            x, y = phi[x], phi[y]
+        if psi[x] != y:
+            return None
+    return psi
+
+
+def _find(up: list[int], i: int) -> int:
+    while up[i] != i:
+        up[i] = i = up[up[i]]
+    return i
+
+
+def map_orbits(c: SurfaceComplex) -> tuple[list[list[int]], list[int], list[int]]:
+    """(automorphisms found as dart permutations, vertex roots, face roots), roots ascending."""
+    ix = c.index
+    if ix.orbits is None:
+        alpha, phi, n = ix.alpha, ix.phi, len(ix.alpha)
+        vindex = {v: i for i, v in enumerate(ix.vertex_ids)}
+        cells = (list(map(vindex.__getitem__, ix.dart_vertex)), ix.dart_face)
+        # reps[0][i] is a dart at vertex i, reps[1][i] one on face i
+        reps = [list(map(dict(zip(cell, range(n))).__getitem__, range(len(ids))))
+                for cell, ids in zip(cells, (ix.vertex_ids, ix.face_ids))]
+        ups, found = [list(range(len(rep))) for rep in reps], []
+        for side, (cell, rep, up) in enumerate(zip(cells, reps, ups)):
+            if side and not found:
+                break
+            for i in range(1, len(up)):
+                if _find(up, i) == 0:
+                    continue
+                darts = compress(range(n), map(i.__eq__, cell))  # the darts at cell i
+                psi = next(filter(None, (_extend(alpha, phi, rep[0], d) for d in darts)), None)
+                if psi is None:
+                    break  # no dart at cell i extends: the sweep ends
+                found.append(psi)
+                for of, r, u in zip(cells, reps, ups):
+                    for j, t in enumerate(map(of.__getitem__, map(psi.__getitem__, r))):
+                        a, b = _find(u, j), _find(u, t)
+                        u[max(a, b)] = min(a, b)
+        ix.orbits = (found, *([i for i, p in enumerate(u) if p == i] for u in ups))
+    return ix.orbits
+
+
 def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[int, int]:
     """(weight, witness mask) of the shortest nontrivial cycle, of the dual if ``dual``."""
     basis = cocycle_basis(c, dual)
@@ -89,7 +157,7 @@ def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[in
     n_v = len(vindex)
     best_weight = len(ix.edge_ids) + 1  # heavier than any cycle
     best_witness = None
-    for root in range(n_v):
+    for root in map_orbits(c)[1 + dual]:
         depth = [-1] * n_v
         sig = [0] * n_v  # homology signature of the tree path from the root
         up_edge = [-1] * n_v

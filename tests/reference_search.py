@@ -1,21 +1,87 @@
-"""Independent reference for the distance engine: the product-graph BFS.
+"""Independent references for the distance engine.
 
-A breadth-first search over the product of the graph with the Z2^{2g}
+:func:`reference_shortest_nontrivial_cycle` is the product-graph BFS: a
+breadth-first search over the product of the graph with the Z2^{2g}
 signature space (the Z2 homology cover): traversing an edge flips the bits
 of the cocycles containing it, and the shortest closed walk returning to
 its start with a nonzero signature is the distance (a minimal such walk
 never repeats an edge, so walk length equals cycle weight).  It visits
 V * 2^(2g) states from every root, so it serves only as a cross-check on
 small inputs.
+
+:func:`all_roots_shortest_nontrivial_cycle` is the Horton-set search as it
+ran before orbit reduction: one signature-carrying BFS from every vertex
+(every face with ``dual=True``), in ascending dense order.  It checks that
+one root per orbit of the map's automorphisms loses nothing.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Sequence
 
+from atqc.binmat import support
 from atqc.complexes import SurfaceComplex
 from atqc.errors import InputError, IntegrityError
 from atqc.homology import betti1, cocycle_basis, homology_signature, is_cycle
+
+
+def all_roots_shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[int, int]:
+    """(weight, witness mask) of the shortest nontrivial cycle, one BFS per node."""
+    basis = cocycle_basis(c, dual)
+    ix = c.index
+    sig_delta = [0] * len(ix.edge_ids)
+    for j, coc in enumerate(basis):
+        for i in support(coc):
+            sig_delta[i] |= 1 << j
+    if dual:
+        nodes, ends = ix.face_ids, [(s[0][0], s[1][0]) for s in ix.slots.values()]
+    else:
+        nodes, ends = ix.vertex_ids, [c.edges[e] for e in ix.edge_ids]
+    vindex = {v: i for i, v in enumerate(nodes)}
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in vindex]
+    for i, (u, v) in enumerate(ends):
+        adjacency[vindex[u]].append((i, vindex[v]))
+        if u != v:
+            adjacency[vindex[v]].append((i, vindex[u]))
+
+    n_v = len(vindex)
+    best_weight = len(ix.edge_ids) + 1
+    best_witness = None
+    for root in range(n_v):
+        depth = [-1] * n_v
+        sig = [0] * n_v
+        up_edge = [-1] * n_v
+        up_vertex = [-1] * n_v
+        depth[root] = 0
+        frontier = [root]
+        d = 0
+        while frontier and 2 * d + 1 < best_weight:
+            nxt = []
+            for u in frontier:
+                su = sig[u]
+                for eidx, w in adjacency[u]:
+                    dw = depth[w]
+                    if dw < 0:
+                        depth[w] = d + 1
+                        sig[w] = su ^ sig_delta[eidx]
+                        up_edge[w], up_vertex[w] = eidx, u
+                        nxt.append(w)
+                    elif dw >= d and d + dw + 1 < best_weight and su ^ sig[w] ^ sig_delta[eidx]:
+                        best_witness = 1 << eidx
+                        for x in (u, w):
+                            while up_edge[x] >= 0:
+                                best_witness ^= 1 << up_edge[x]
+                                x = up_vertex[x]
+                        best_weight = best_witness.bit_count()
+            frontier = nxt
+            d += 1
+    if best_witness is None:
+        raise IntegrityError("no nontrivial cycle found despite betti1 > 0")
+    if not is_cycle(c, best_witness, dual):
+        raise IntegrityError("search witness is not a cycle")
+    if homology_signature(c, best_witness, dual=dual) == 0:
+        raise IntegrityError("search witness is homologically trivial")
+    return best_weight, best_witness
 
 
 def reference_shortest_nontrivial_cycle(
