@@ -50,15 +50,6 @@ class BinaryMatrix:
             raise ValueError("cannot infer column count from empty input")
         return cls(len(packed), width, packed)
 
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= j < self.cols):
-            raise IndexError(j)
-        return (self.data[i] >> j) & 1
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BinaryMatrix)
@@ -66,9 +57,6 @@ class BinaryMatrix:
             and self.cols == other.cols
             and self.data == other.data
         )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, tuple(self.data)))
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols})"
@@ -183,14 +171,6 @@ class RowBasis:
 def in_row_space(m: BinaryMatrix, v: int) -> bool:
     """Decide membership of v in the row space of m."""
     return RowBasis(m.data).contains(v)
-
-
-def vector_from_bits(bits: Iterable[int]) -> int:
-    word = 0
-    for j, bit in enumerate(bits):
-        if bit & 1:
-            word |= 1 << j
-    return word
 
 
 def support(v: int) -> tuple[int, ...]:

@@ -51,10 +51,11 @@ class ComplexIndex:
     slots in (face id, position) order: ``alpha`` pairs an edge's two slots,
     ``phi`` steps along a face as read, ``dart_vertex`` is the id of the
     vertex whose rotation holds a dart and ``dart_face`` its face's dense
-    index.  Validation builds these.  ``chain`` and ``bases`` are filled on
-    first use by :mod:`atqc.homology`, ``orbits`` by :mod:`atqc.distance`;
-    threads racing to fill one compute equal values, so no lock is needed.
-    Nothing mutates what the index hands out.
+    index.  Validation builds these.  The check matrices and the boundary
+    operators are read off the masks on request and not cached.  ``bases``
+    is filled on first use by :mod:`atqc.homology`, ``orbits`` by
+    :mod:`atqc.distance`; threads racing to fill one compute equal values,
+    so no lock is needed.  Nothing mutates what the index hands out.
     """
 
     edge_ids: tuple[int, ...]
@@ -68,7 +69,6 @@ class ComplexIndex:
     phi: list[int]
     dart_vertex: list[int]
     dart_face: list[int]
-    chain: object = None
     bases: tuple | None = None
     orbits: tuple | None = None
 

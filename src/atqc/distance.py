@@ -215,16 +215,12 @@ def code_distances(c: SurfaceComplex) -> DistanceResult:
 def _min_coset_weight(kernel_of: list[int], modulo_rows: list[int], k_expected: int) -> int:
     """Min weight over ker \\ rowspace, by Gray-code walks of each nontrivial coset."""
     span = RowBasis(modulo_rows)
-    coset_gens = []
-    probe = RowBasis(modulo_rows)
-    for vec in kernel_of:
-        if probe.add(vec):
-            coset_gens.append(vec)
+    basis = list(span.vectors)
+    coset_gens = [vec for vec in kernel_of if span.add(vec)]
     if len(coset_gens) != k_expected:
         raise IntegrityError(
             f"kernel/rowspace quotient has dimension {len(coset_gens)}, expected {k_expected}"
         )
-    basis = list(span.vectors)
     r = len(basis)
     gray_deltas = [(i & -i).bit_length() - 1 for i in range(1, 1 << r)]
     best = None

@@ -3,8 +3,10 @@
 Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
 Edge sets are packed as integers over its dense edge order (ascending
 edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
-boundary.  The boundary operators and the homology bases are computed on
-first use, checked once, and cached on that index.
+boundary.  The homology bases are computed on first use, checked once, and
+cached on that index.  :func:`boundary_matrices` builds d1 and d2 on each
+request and caches nothing: no library code uses them, they are the
+reference the tests eliminate against.
 The bases come from the tree/co-tree construction: a spanning
 tree of the primal graph plus a spanning tree of the dual graph on the
 remaining edges leave exactly 2g edges; each leftover edge closes one
@@ -48,16 +50,6 @@ def mask_to_edges(c: SurfaceComplex, mask: int) -> tuple[int, ...]:
     return tuple(order[i] for i in support(mask))
 
 
-def face_boundary_masks(c: SurfaceComplex) -> dict[int, int]:
-    """Face id -> Z2 boundary (edge multiplicities mod 2)."""
-    return c.index.face_masks
-
-
-def vertex_star_masks(c: SurfaceComplex) -> dict[int, int]:
-    """Vertex id -> edges with that vertex as an endpoint an odd number of times."""
-    return c.index.star_masks
-
-
 @dataclass(frozen=True)
 class ChainComplexZ2:
     """Boundary operators d2: C2 -> C1 and d1: C1 -> C0 over Z2.
@@ -75,17 +67,16 @@ class ChainComplexZ2:
 
 
 def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
+    """d1 and d2 from the index's masks, checked d1 . d2 = 0."""
     ix = c.index
-    if ix.chain is None:
-        n = len(ix.edge_ids)
-        d2 = BinaryMatrix(len(ix.face_ids), n, [ix.face_masks[f] for f in ix.face_ids]).transpose()
-        d1 = BinaryMatrix(len(ix.vertex_ids), n, [ix.star_masks[v] for v in ix.vertex_ids])
-        if not (d1 @ d2).is_zero():
-            raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
-        ix.chain = ChainComplexZ2(
-            d2=d2, d1=d1, vertex_ids=ix.vertex_ids, edge_ids=ix.edge_ids, face_ids=ix.face_ids
-        )
-    return ix.chain
+    n = len(ix.edge_ids)
+    d2 = BinaryMatrix(len(ix.face_ids), n, [ix.face_masks[f] for f in ix.face_ids]).transpose()
+    d1 = BinaryMatrix(len(ix.vertex_ids), n, [ix.star_masks[v] for v in ix.vertex_ids])
+    if not (d1 @ d2).is_zero():
+        raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
+    return ChainComplexZ2(
+        d2=d2, d1=d1, vertex_ids=ix.vertex_ids, edge_ids=ix.edge_ids, face_ids=ix.face_ids
+    )
 
 
 def betti1(c: SurfaceComplex) -> int:

@@ -2,10 +2,10 @@
 
 Convention: X-type checks sit on faces (row f of hx = face boundary) and
 Z-type checks on vertices (row v of hz = vertex star), so d_x is the
-primal-graph distance and d_z the dual-graph distance.  Logical X
-operators are primal cycles, logical Z operators dual cycles, both over
-the shared edge index, normalized so the symplectic pairing matrix is the
-identity.
+primal-graph distance and d_z the dual-graph distance.  Both matrices are
+read off the complex's index.  The code carries no logical operators:
+:func:`atqc.homology.cycle_cocycle_bases` gives them, primal cycles for
+logical X and dual cycles for logical Z, paired as the identity.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from typing import IO
 from .binmat import BinaryMatrix, support
 from .complexes import SurfaceComplex
 from .errors import IntegrityError, InputError
-from .homology import boundary_matrices, cycle_cocycle_bases
 
 ALIST = "alist"
 DENSE_TEXT = "dense-text"
@@ -28,56 +27,46 @@ EXPORT_FORMATS = (ALIST, DENSE_TEXT, JSON_FORMAT)
 
 @dataclass(frozen=True)
 class CssCode:
-    """Hx/Hz parity-check pair with logical operator bases.
-
-    ``logical_x``/``logical_z`` are bitmasks over the dense edge index
-    (``edge_ids`` gives the id for each bit position).
-    """
+    """Hx/Hz parity-check pair over the dense edge index of one complex."""
 
     n: int
     k: int
     genus: int
     hx: BinaryMatrix
     hz: BinaryMatrix
-    logical_x: tuple[int, ...]
-    logical_z: tuple[int, ...]
     edge_ids: tuple[int, ...]
     vertex_ids: tuple[int, ...]
     face_ids: tuple[int, ...]
     source_label: str = ""
     warnings: tuple[str, ...] = field(default=())
 
-    def logical_x_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.edge_ids[i] for i in support(m)) for m in self.logical_x)
-
-    def logical_z_edges(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(self.edge_ids[i] for i in support(m)) for m in self.logical_z)
-
 
 def build_css(c: SurfaceComplex) -> CssCode:
-    """Face checks from the face masks, vertex checks from d1, logicals from tree/co-tree."""
-    cc = boundary_matrices(c)
+    """X checks from the face masks, Z checks from the vertex stars.
+
+    k = 2g: validation proved a closed, connected, orientable surface with
+    Euler characteristic 2 - 2g, and :func:`verify_stabilizers` re-derives
+    k from the count of independent generators.
+    """
     ix = c.index
-    hx = BinaryMatrix(len(ix.face_ids), len(ix.edge_ids), [ix.face_masks[f] for f in ix.face_ids])
-    # k = n - rank(hx) - rank(hz) = betti1 = 2g, certified by the bases themselves
-    cycles, cocycles = cycle_cocycle_bases(c)
+    n = len(ix.edge_ids)
+    hx = BinaryMatrix(len(ix.face_ids), n, [ix.face_masks[f] for f in ix.face_ids])
+    hz = BinaryMatrix(len(ix.vertex_ids), n, [ix.star_masks[v] for v in ix.vertex_ids])
     warnings = []
-    zero_rows = [f for f, row in zip(cc.face_ids, hx.data) if row == 0]
+    zero_rows = [f for f, row in zip(ix.face_ids, hx.data) if row == 0]
     if zero_rows:
         warnings.append(
             f"degenerate complex: face(s) {zero_rows} have zero X-check rows"
         )
     return CssCode(
-        n=len(cc.edge_ids),
-        k=len(cycles),
+        n=n,
+        k=2 * c.genus,
         genus=c.genus,
         hx=hx,
-        hz=cc.d1,
-        logical_x=cycles,
-        logical_z=cocycles,
-        edge_ids=cc.edge_ids,
-        vertex_ids=cc.vertex_ids,
-        face_ids=cc.face_ids,
+        hz=hz,
+        edge_ids=ix.edge_ids,
+        vertex_ids=ix.vertex_ids,
+        face_ids=ix.face_ids,
         source_label=c.label,
         warnings=tuple(warnings),
     )
@@ -140,6 +129,10 @@ def verify_stabilizers(code: CssCode) -> StabilizerReport:
         raise IntegrityError(
             f"{independent} independent generators, expected |V|+|F|-2 = {expected}"
         )
+    if code.n - independent != code.k:
+        raise IntegrityError(
+            f"n - {independent} generators = {code.n - independent}, not k = {code.k}"
+        )
     return StabilizerReport(
         n=code.n,
         k=code.k,
@@ -186,28 +179,50 @@ def write_alist(m: BinaryMatrix, sink: IO[str]) -> None:
 
 
 def read_alist(source: IO[str]) -> BinaryMatrix:
-    tokens = source.read().split()
-    it = iter(tokens)
+    """Parse a MacKay alist; InputError unless it is well formed and its row
+    section lists exactly the entries of its column section."""
+    try:
+        numbers = [int(token) for token in source.read().split()]
+    except ValueError as exc:
+        raise InputError(f"alist holds a non-integer token: {exc}") from None
+    pos = 0
 
-    def take() -> int:
-        return int(next(it))
+    def take(count: int) -> list[int]:
+        nonlocal pos
+        if pos + count > len(numbers):
+            raise InputError("alist ends early")
+        pos += count
+        return numbers[pos - count : pos]
 
-    n, m_rows = take(), take()
-    take(), take()  # max weights, implied by the index lists
-    col_wts = [take() for _ in range(n)]
-    row_wts = [take() for _ in range(m_rows)]
+    n, m_rows, max_col, max_row = take(4)
+    if min(n, m_rows) < 0:
+        raise InputError(f"alist dimensions {n} x {m_rows} are negative")
+    col_wts, row_wts = take(n), take(m_rows)
+    for weights, declared in ((col_wts, max_col), (row_wts, max_row)):
+        if min(weights, default=0) < 0 or max(weights, default=0) != declared:
+            raise InputError(f"alist weights must lie in 0..{declared} and reach it")
+
+    def section(weights: list[int], width: int, bound: int) -> list[list[int]]:
+        """One index list per line: distinct 1-based indices up to bound, then 0 padding."""
+        out = []
+        for w in weights:
+            line = take(width)
+            entries, padding = line[:w], line[w:]
+            if any(padding) or len(set(entries)) != w or not all(0 < x <= bound for x in entries):
+                raise InputError(f"alist list {line} is not {w} distinct indices in 1..{bound}")
+            out.append(entries)
+        return out
+
     data = [0] * m_rows
-    max_col = max(col_wts, default=0)
-    max_row = max(row_wts, default=0)
-    for j in range(n):
-        entries = [take() for _ in range(max_col)] if max_col else []
-        for i in entries[: col_wts[j]]:
+    for j, entries in enumerate(section(col_wts, max_col, m_rows)):
+        for i in entries:
             data[i - 1] |= 1 << j
-    # the row section repeats the column section; read it for validation
-    for i in range(m_rows):
-        entries = [take() for _ in range(max_row)] if max_row else []
-        for j in entries[: row_wts[i]]:
-            data[i] |= 1 << (j - 1)
+    rows = [sum(1 << (j - 1) for j in entries) for entries in section(row_wts, max_row, n)]
+    if pos != len(numbers):
+        raise InputError(f"alist has {len(numbers) - pos} numbers past its row section")
+    if rows != data:
+        i = next(i for i, (a, b) in enumerate(zip(rows, data)) if a != b)
+        raise InputError(f"alist row {i + 1} disagrees with the column section")
     return BinaryMatrix(m_rows, n, data)
 
 

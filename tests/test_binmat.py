@@ -1,12 +1,12 @@
 import itertools
 
-from atqc.binmat import BinaryMatrix, RowBasis, in_row_space, support, vector_from_bits
+from atqc.binmat import BinaryMatrix, RowBasis, in_row_space, support
 from atqc.homology import boundary_matrices
 from atqc.torus import SquareTorusSpec, build_square_torus
 
 
 def test_identity_rank_and_kernel():
-    m = BinaryMatrix.identity(4)
+    m = BinaryMatrix(4, 4, [0b0001, 0b0010, 0b0100, 0b1000])
     assert m.rank() == 4
     assert m.kernel_basis() == []
 
@@ -14,14 +14,13 @@ def test_identity_rank_and_kernel():
 def test_from_rows_and_accessors():
     m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
     assert (m.rows, m.cols) == (2, 3)
-    assert m.get(0, 2) == 1 and m.get(1, 0) == 0
     assert m.to_lists() == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_transpose_involution():
     m = BinaryMatrix.from_rows([[1, 1, 0, 1], [0, 0, 1, 1]])
     assert m.transpose().transpose() == m
-    assert m.transpose().get(3, 0) == 1
+    assert m.transpose().to_lists()[3] == [1, 1]
 
 
 def test_matmul_against_dense_arithmetic():
@@ -64,8 +63,8 @@ def test_square_torus_d2_rank_by_subset_enumeration():
 
 def test_in_row_space():
     m = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    assert in_row_space(m, vector_from_bits([1, 0, 1]))
-    assert not in_row_space(m, vector_from_bits([1, 0, 0]))
+    assert in_row_space(m, 0b101)
+    assert not in_row_space(m, 0b001)
     assert in_row_space(m, 0)
 
 

@@ -11,7 +11,6 @@ from atqc.homology import (
     cocycle_basis,
     cycle_cocycle_bases,
     edges_to_mask,
-    face_boundary_masks,
     homology_signature,
     is_cycle,
     mask_to_edges,
@@ -76,7 +75,7 @@ def test_cocycle_properties(corpus):
     for c in corpus:
         cocycles = cocycle_basis(c)
         assert len(cocycles) == 2 * c.genus
-        faces = face_boundary_masks(c)
+        faces = c.index.face_masks
         for coc in cocycles:
             assert all(parity(b & coc) == 0 for b in faces.values())
         cycles, cocycles2 = cycle_cocycle_bases(c)
@@ -109,7 +108,7 @@ def test_face_boundaries_lie_in_check_row_space():
 def test_signature_of_face_boundary_is_zero(corpus):
     for c in corpus:
         basis = cocycle_basis(c)
-        for b in face_boundary_masks(c).values():
+        for b in c.index.face_masks.values():
             assert homology_signature(c, b, basis) == 0
 
 

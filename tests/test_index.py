@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from atqc import cli
 from atqc.binmat import BinaryMatrix
 from atqc.complexes import SurfaceComplex, dual_complex
 from atqc.distance import code_distances
@@ -19,9 +20,7 @@ from atqc.homology import (
     cocycle_basis,
     cycle_cocycle_bases,
     edges_to_mask,
-    face_boundary_masks,
     mask_to_edges,
-    vertex_star_masks,
 )
 from atqc.stabilizer import build_css
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
@@ -71,13 +70,13 @@ def test_index_equals_recomputation(complexes):
             f: sum(1 << order.index(e) for e in set(cyc) if cyc.count(e) % 2)
             for f, cyc in c.faces.items()
         }
-        assert face_boundary_masks(c) == faces
-        assert list(face_boundary_masks(c)) == sorted(c.faces)
+        assert ix.face_masks == faces
+        assert list(ix.face_masks) == sorted(c.faces)
         stars = {
             v: sum(1 << order.index(e) for e, ends in c.edges.items() if ends.count(v) % 2)
             for v in c.vertices
         }
-        assert vertex_star_masks(c) == stars
+        assert ix.star_masks == stars
         every = (1 << len(order)) - 1
         assert edges_to_mask(c, order) == every
         assert mask_to_edges(c, every) == tuple(order)
@@ -90,12 +89,9 @@ def test_dual_shares_the_edge_order(complexes):
 
 def test_algebra_is_cached_on_the_index(complexes):
     for c in complexes:
-        assert boundary_matrices(c) is boundary_matrices(c)
         assert cocycle_basis(c) is cocycle_basis(c)
         assert cycle_cocycle_bases(c)[1] is cocycle_basis(c)
-        code = build_css(c)
-        assert code.hz is boundary_matrices(c).d1
-        assert code.logical_z is cocycle_basis(c)
+        assert build_css(c).hz == boundary_matrices(c).d1
 
 
 def test_no_rank_and_no_dual_per_complex(monkeypatch):
@@ -129,6 +125,34 @@ def test_no_rank_and_no_dual_per_complex(monkeypatch):
     r = code_distances(c)
     assert (r.d_x, r.d_z) == (4, 4)
     assert calls == []
+
+
+def test_export_builds_no_bases_and_check_one_product(monkeypatch, tmp_path, capsys):
+    # both check matrices come off the index masks; only verify_stabilizers multiplies
+    path = str(tmp_path / "square4.json")
+    assert cli.main(["build", "--square", "4", "--out", path]) == 0
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("__matmul__", "transpose"):
+        monkeypatch.setattr(BinaryMatrix, name, counting(name, getattr(BinaryMatrix, name)))
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "atqc"]:
+        for name in ("cycle_cocycle_bases", "boundary_matrices"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for format in ("alist", "dense-text", "json"):
+        assert cli.main(["export", path, "--format", format, "--out", str(tmp_path / format)]) == 0
+    assert calls == []
+    assert cli.main(["check", path]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+    assert (calls.count("__matmul__"), calls.count("transpose")) == (1, 1)
+    assert "boundary_matrices" not in calls
 
 
 def test_racing_threads_fill_equal_values():

@@ -11,7 +11,13 @@ from test_irregular import random_merges
 from atqc.binmat import BinaryMatrix, RowBasis, in_row_space, parity
 from atqc.complexes import complex_from_dict, complex_to_dict, dual_complex, load_complex
 from atqc.errors import IntegrityError, InputError
-from atqc.homology import boundary_matrices, cocycle_basis, homology_signature
+from atqc.homology import (
+    boundary_matrices,
+    cocycle_basis,
+    cycle_cocycle_bases,
+    homology_signature,
+    mask_to_edges,
+)
 from atqc.stabilizer import (
     CssCode,
     build_css,
@@ -88,20 +94,14 @@ def test_verify_rejects_broken_commutation():
     code = build_css(build_square_torus(SquareTorusSpec(2)))
     hx = BinaryMatrix(code.hx.rows, code.hx.cols, list(code.hx.data))
     hx.data[0] ^= 1  # delete one face slot
-    broken = CssCode(
-        n=code.n,
-        k=code.k,
-        genus=code.genus,
-        hx=hx,
-        hz=code.hz,
-        logical_x=code.logical_x,
-        logical_z=code.logical_z,
-        edge_ids=code.edge_ids,
-        vertex_ids=code.vertex_ids,
-        face_ids=code.face_ids,
-    )
     with pytest.raises(IntegrityError, match="anticommutes"):
-        verify_stabilizers(broken)
+        verify_stabilizers(dataclasses.replace(code, hx=hx))
+
+
+def test_verify_rederives_k():
+    code = build_css(build_square_torus(SquareTorusSpec(2)))
+    with pytest.raises(IntegrityError, match="not k = 4"):
+        verify_stabilizers(dataclasses.replace(code, k=4))
 
 
 def test_verify_names_the_first_anticommuting_pair(corpus):
@@ -220,7 +220,7 @@ def test_dual_covariance(corpus):
 def test_logical_bases(corpus):
     for c in corpus:
         code = build_css(c)
-        lx, lz = code.logical_x, code.logical_z
+        lx, lz = cycle_cocycle_bases(c)
         assert len(lx) == len(lz) == 2 * c.genus
         basis = cocycle_basis(c)
         for x in lx:
@@ -237,8 +237,8 @@ def test_logical_bases(corpus):
 
 
 def test_square3_logicals_are_straight_loops():
-    code = build_css(build_square_torus(SquareTorusSpec(3)))
-    lx = code.logical_x_edges()
+    c = build_square_torus(SquareTorusSpec(3))
+    lx = [mask_to_edges(c, m) for m in cycle_cocycle_bases(c)[0]]
     assert (0, 1, 2) in lx  # the weight-3 horizontal loop through row 0
     assert all(len(op) == 3 for op in lx)
 
@@ -263,6 +263,46 @@ def test_alist_export_square3_hz_column_weights():
     assert lines[2] == " ".join(["2"] * 18)  # column weights
     buf.seek(0)
     assert read_alist(buf) == code.hz
+
+
+# a 2 x 3 matrix, rows {1, 2} and {2, 3}: header, weights, columns, rows
+VALID_ALIST = ["3 2", "2 2", "1 2 1", "2 2", "1 0", "1 2", "2 0", "1 2", "2 3"]
+
+
+def test_read_alist_hand_written():
+    m = read_alist(io.StringIO("\n".join(VALID_ALIST)))
+    assert m == BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+
+
+@pytest.mark.parametrize(
+    "line,text",
+    [
+        (8, "1 3"),  # the row section disagrees with the column section
+        (4, "0 0"),  # a 0 index inside a column's weight
+        (7, "0 2"),  # a 0 index inside a row's weight
+        (6, "3 0"),  # row index past the 2 rows
+        (8, "2 4"),  # column index past the 3 columns
+        (4, "-1 0"),  # negative index
+        (4, "1 2"),  # nonzero padding
+        (5, "1 1"),  # repeated index
+        (2, "1 3 1"),  # weight above the declared maximum
+        (1, "3 2"),  # declared maximum above every weight
+        (0, "3 -2"),  # negative dimension
+        (5, "1 x"),  # non-integer token
+        (8, None),  # truncated
+        (9, "1"),  # numbers past the row section
+    ],
+)
+def test_read_alist_rejects_malformed(line, text):
+    lines = list(VALID_ALIST)
+    if line == len(lines):
+        lines.append(text)
+    elif text is None:
+        del lines[line]
+    else:
+        lines[line] = text
+    with pytest.raises(InputError):
+        read_alist(io.StringIO("\n".join(lines)))
 
 
 def test_dense_text_roundtrip(corpus):
