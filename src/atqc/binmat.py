@@ -5,7 +5,7 @@ arithmetic exact and makes XOR-heavy kernels cheap at desk scale.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def parity(x: int) -> int:
@@ -103,7 +103,8 @@ class BinaryMatrix:
         return RowBasis(self.data).rank
 
     def kernel_basis(self) -> list[int]:
-        """Basis of {v : M v = 0}, vectors packed over the column index."""
+        """Basis of {v : M v = 0}, packed over the column index.  Each vector is the only
+        one set at its own free (non-pivot) column, so a sum of j weighs at least j."""
         reduced: list[int] = []
         pivots: list[int] = []
         for w in self.data:
@@ -163,9 +164,6 @@ class RowBasis:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.vectors)
 
 
 def in_row_space(m: BinaryMatrix, v: int) -> bool:

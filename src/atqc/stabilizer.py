@@ -233,6 +233,9 @@ def _row_bits(word: int, cols: int) -> str:
 
 
 def write_dense_text(m: BinaryMatrix, sink: IO[str]) -> None:
+    """One 0/1 line per row; with no header, an empty shape could not read back."""
+    if not (m.rows and m.cols):
+        raise InputError(f"dense-text cannot hold a {m.rows} x {m.cols} matrix; use alist or json")
     for word in m.data:
         sink.write(_row_bits(word, m.cols) + "\n")
 

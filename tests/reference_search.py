@@ -13,13 +13,18 @@ small inputs.
 ran before orbit reduction: one signature-carrying BFS from every vertex
 (every face with ``dual=True``), in ascending dense order.  It checks that
 one root per orbit of the map's automorphisms loses nothing.
+
+:func:`gray_code_min_coset_weight` is the distance oracle as it ran
+before the size bound: every vector of every nontrivial coset of the
+row space in the kernel, walked in Gray-code order, 2^(kernel dimension)
+steps.  It checks that stopping at the best weight loses nothing.
 """
 from __future__ import annotations
 
 from collections import deque
 from typing import Sequence
 
-from atqc.binmat import support
+from atqc.binmat import RowBasis, support
 from atqc.complexes import SurfaceComplex
 from atqc.errors import InputError, IntegrityError
 from atqc.homology import betti1, cocycle_basis, homology_signature, is_cycle
@@ -150,3 +155,34 @@ def reference_shortest_nontrivial_cycle(
     if homology_signature(c, best_witness, basis) == 0:
         raise IntegrityError("search witness is homologically trivial")
     return best_weight, best_witness
+
+
+def gray_code_min_coset_weight(
+    kernel_of: list[int], modulo_rows: list[int], k_expected: int
+) -> int:
+    """Min weight over ker \\ rowspace, by Gray-code walks of each nontrivial coset."""
+    span = RowBasis(modulo_rows)
+    basis = list(span.vectors)
+    coset_gens = [vec for vec in kernel_of if span.add(vec)]
+    if len(coset_gens) != k_expected:
+        raise IntegrityError(
+            f"kernel/rowspace quotient has dimension {len(coset_gens)}, expected {k_expected}"
+        )
+    r = len(basis)
+    gray_deltas = [(i & -i).bit_length() - 1 for i in range(1, 1 << r)]
+    best = None
+    for t in range(1, 1 << len(coset_gens)):
+        acc = 0
+        tt = t
+        while tt:
+            acc ^= coset_gens[(tt & -tt).bit_length() - 1]
+            tt &= tt - 1
+        w = acc.bit_count()
+        if best is None or w < best:
+            best = w
+        for delta in gray_deltas:
+            acc ^= basis[delta]
+            w = acc.bit_count()
+            if w < best:
+                best = w
+    return best

@@ -107,3 +107,19 @@ def test_rank_kernel_membership_against_enumeration():
             assert mat.mul_vector(v) == 0
         for v in range(1 << n):
             assert in_row_space(mat, v) == (v in span)
+
+
+def test_kernel_basis_vectors_each_own_one_free_column():
+    # the oracle's size bound: a sum of j basis vectors weighs at least j
+    import random
+
+    rng = random.Random(12)
+    for _ in range(200):
+        m, n = rng.randint(1, 10), rng.randint(1, 16)
+        mat = BinaryMatrix(m, n, [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)])
+        # column c is a pivot when a row-space vector has its highest bit there
+        ranks = [RowBasis(w >> c for w in mat.data).rank for c in range(n + 1)]
+        pivots = sum(1 << c for c in range(n) if ranks[c] > ranks[c + 1])
+        free = [v & ~pivots for v in mat.kernel_basis()]
+        assert all(f.bit_count() == 1 for f in free)
+        assert len(set(free)) == len(free) == n - mat.rank()

@@ -1,4 +1,5 @@
 import pytest
+from test_orbits import double_cover
 
 from atqc.complexes import dual_complex
 from atqc.distance import (
@@ -10,7 +11,7 @@ from atqc.distance import (
     shortest_nontrivial_cycle,
 )
 from atqc.errors import InputError
-from atqc.homology import edges_to_mask, homology_signature, is_cycle
+from atqc.homology import cocycle_basis, edges_to_mask, homology_signature, is_cycle
 from atqc.stabilizer import build_css
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
 
@@ -81,6 +82,16 @@ def test_oracle_examples():
 
 def test_oracle_ingested(ingested_genus2):
     assert oracle_distances(build_css(ingested_genus2)) == (5, 2)
+
+
+def test_oracle_certifies_the_covers_of_the_genus2_complex(ingested_genus2):
+    # above the default ceiling: the genus-3 covers have n = 48, the genus-5 ones 96
+    for cocycle in cocycle_basis(ingested_genus2):
+        cover = double_cover(ingested_genus2, cocycle, interleave=False)
+        genus5 = double_cover(cover, cocycle_basis(cover)[0], interleave=False)
+        for c in (cover, genus5):
+            r = code_distances(c)
+            assert oracle_distances(build_css(c), c.num_edges) == (r.d_x, r.d_z), c.label
 
 
 def test_oracle_refuses_above_ceiling():

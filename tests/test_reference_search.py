@@ -1,9 +1,13 @@
-"""The Horton-set engine against the product-graph reference and the oracle."""
+"""The Horton-set engine against the product-graph reference and the oracle;
+the oracle against its Gray-code reference."""
+import random
+
 import pytest
-from reference_search import reference_shortest_nontrivial_cycle
+from gluings import random_gluing
+from reference_search import gray_code_min_coset_weight, reference_shortest_nontrivial_cycle
 from test_irregular import one_vertex_torus, random_merges
 
-from atqc.complexes import dual_complex
+from atqc.complexes import complex_from_dict, dual_complex
 from atqc.distance import oracle_distances, shortest_nontrivial_cycle
 from atqc.homology import homology_signature, is_cycle
 from atqc.stabilizer import build_css
@@ -51,3 +55,34 @@ def test_engine_matches_reference(build):
 def test_engine_matches_reference_on_random_merges(seed):
     for c in random_merges(seed):
         assert_engine_matches(c)
+
+
+def assert_oracle_matches_gray_code(c):
+    """Both oracle weights equal the Gray-code walk over the whole kernel."""
+    code = build_css(c)
+    reference = tuple(
+        gray_code_min_coset_weight(kernel_of.kernel_basis(), list(modulo.data), code.k)
+        for kernel_of, modulo in ((code.hz, code.hx), (code.hx, code.hz))
+    )
+    assert oracle_distances(code, code.n) == reference, c.label
+
+
+def test_oracle_matches_gray_code_on_corpus(corpus):
+    # the walk takes 2^(kernel dimension) steps: up to 2^19 at n <= 32 (hex
+    # xi <= 3 included), 2^25 to 2^33 on square L = 5, hex xi = 4 and lambda = 6
+    small = [c for c in corpus if c.num_edges <= 32]
+    assert len(small) == 8
+    for c in small:
+        assert_oracle_matches_gray_code(c)
+
+
+def test_oracle_matches_gray_code_on_gluings():
+    rng = random.Random(20211)
+    for _ in range(300):
+        assert_oracle_matches_gray_code(complex_from_dict(random_gluing(rng)[0]))
+
+
+def test_oracle_matches_gray_code_on_merges():
+    for seed in range(41, 61):
+        for c in random_merges(seed):
+            assert_oracle_matches_gray_code(c)

@@ -314,6 +314,18 @@ def test_dense_text_roundtrip(corpus):
         assert read_dense_text(buf) == code.hz
 
 
+@pytest.mark.parametrize("rows,cols", [(3, 0), (0, 4)])
+def test_dense_text_refuses_shapes_it_cannot_read_back(rows, cols):
+    # with no header, 3 x 0 would be three empty lines and 0 x 4 nothing
+    m = BinaryMatrix(rows, cols)
+    with pytest.raises(InputError, match="alist or json"):
+        write_dense_text(m, io.StringIO())
+    buf = io.StringIO()
+    write_alist(m, buf)
+    buf.seek(0)
+    assert read_alist(buf) == m
+
+
 def test_alist_roundtrip(corpus):
     for c in corpus:
         code = build_css(c)
@@ -377,6 +389,12 @@ def assert_exports_match_reference(code: CssCode) -> None:
     for format in ("alist", "dense-text", "json"):
         for matrix in ("hx", "hz"):
             buf = io.StringIO()
+            m = code.hx if matrix == "hx" else code.hz
+            if format == "dense-text" and not (m.rows and m.cols):
+                # no header to carry an empty shape: refused, not written
+                with pytest.raises(InputError, match="alist or json"):
+                    export_checks(code, format, buf, matrix=matrix)
+                continue
             export_checks(code, format, buf, matrix=matrix)
             assert buf.getvalue() == reference_export(code, format, matrix), (format, matrix)
 
