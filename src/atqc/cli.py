@@ -19,7 +19,7 @@ from typing import IO, Callable
 
 from .catalog import emit_curves, emit_tables, family_params
 from .complexes import load_complex, save_complex
-from .distance import BOTH_AGREE, DistanceResult, certified_distances, oracle_ceiling_from_env
+from .distance import BOTH_AGREE, DEFAULT_ORACLE_CEILING, DistanceResult, certified_distances
 from .errors import AtqcError, ComplexError, DiscrepancyError, InputError
 from .geometry import SchlafliPair, classify
 from .homology import betti1
@@ -121,10 +121,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_distance(args) -> int:
-    ceiling = oracle_ceiling_from_env() if args.oracle_ceiling is None else args.oracle_ceiling
     c = _load(args.file)
-    result = certified_distances(c, ceiling)
-    oracle = {"ran": result.method == BOTH_AGREE, "n": c.num_edges, "ceiling": ceiling}
+    result = certified_distances(c, args.oracle_ceiling)
+    oracle = {"ran": result.method == BOTH_AGREE, "n": c.num_edges, "ceiling": args.oracle_ceiling}
     _emit({**_distance_doc(result), "oracle": oracle})
     return EXIT_OK
 
@@ -190,9 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_distance.add_argument(
         "--oracle-ceiling",
         type=int,
-        default=None,
-        help="skip the exhaustive oracle above this many edges (default 30; "
-        "env ATQC_ORACLE_CEILING)",
+        default=DEFAULT_ORACLE_CEILING,
+        help="skip the exhaustive oracle above this many edges (default %(default)s)",
     )
     p_distance.set_defaults(func=cmd_distance)
 

@@ -53,9 +53,13 @@ class ComplexIndex:
     vertex whose rotation holds a dart and ``dart_face`` its face's dense
     index.  Validation builds these.  The check matrices and the boundary
     operators are read off the masks on request and not cached.  ``bases``
-    is filled on first use by :mod:`atqc.homology`, ``orbits`` by
-    :mod:`atqc.distance`; threads racing to fill one compute equal values,
-    so no lock is needed.  Nothing mutates what the index hands out.
+    and ``sides`` are filled on first use by :mod:`atqc.homology`, ``orbits``
+    by :mod:`atqc.distance`.  ``sides[0]`` (vertex graph) and ``sides[1]``
+    (face adjacency) are each (dense node -> [(edge bit, neighbour)], one
+    word per edge whose bit i says cocycle i, resp. cycle i, holds it).
+    Threads racing to fill a field compute equal values, so no lock is
+    needed; ``sides`` is set first, so whoever sees ``bases`` sees it too.
+    Nothing mutates what the index hands out.
     """
 
     edge_ids: tuple[int, ...]
@@ -69,6 +73,7 @@ class ComplexIndex:
     phi: list[int]
     dart_vertex: list[int]
     dart_face: list[int]
+    sides: tuple | None = None
     bases: tuple | None = None
     orbits: tuple | None = None
 

@@ -47,12 +47,11 @@ Two independent routes:
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import combinations, compress
 
-from .binmat import RowBasis, support
+from .binmat import RowBasis
 from .complexes import SurfaceComplex
 from .errors import DiscrepancyError, InputError, IntegrityError
 from .homology import cocycle_basis, homology_signature, is_cycle, mask_to_edges
@@ -72,16 +71,6 @@ class DistanceResult:
     witness_x: tuple[int, ...]
     witness_z: tuple[int, ...]
     method: str
-
-
-def oracle_ceiling_from_env(default: int = DEFAULT_ORACLE_CEILING) -> int:
-    raw = os.environ.get("ATQC_ORACLE_CEILING")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"ATQC_ORACLE_CEILING must be an integer, got {raw!r}") from exc
 
 
 def _extend(alpha: list[int], phi: list[int], d0: int, d: int) -> list[int] | None:
@@ -140,24 +129,10 @@ def map_orbits(c: SurfaceComplex) -> tuple[list[list[int]], list[int], list[int]
 
 def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[int, int]:
     """(weight, witness mask) of the shortest nontrivial cycle, of the dual if ``dual``."""
-    basis = cocycle_basis(c, dual)
+    cocycle_basis(c, dual)  # certifies the bases, and fills ix.sides with them
     ix = c.index
-    sig_delta = [0] * len(ix.edge_ids)
-    for j, coc in enumerate(basis):
-        for i in support(coc):
-            sig_delta[i] |= 1 << j
-    if dual:
-        nodes, ends = ix.face_ids, [(s[0][0], s[1][0]) for s in ix.slots.values()]
-    else:
-        nodes, ends = ix.vertex_ids, [c.edges[e] for e in ix.edge_ids]
-    vindex = {v: i for i, v in enumerate(nodes)}
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in vindex]
-    for i, (u, v) in enumerate(ends):
-        adjacency[vindex[u]].append((i, vindex[v]))
-        if u != v:
-            adjacency[vindex[v]].append((i, vindex[u]))
-
-    n_v = len(vindex)
+    adjacency, sig_delta = ix.sides[dual]
+    n_v = len(adjacency)
     best_weight = len(ix.edge_ids) + 1  # heavier than any cycle
     best_witness = None
     for root in map_orbits(c)[1 + dual]:
@@ -237,10 +212,8 @@ def _min_coset_weight(kernel_of: list[int], modulo_rows: list[int], k_expected: 
     return best
 
 
-def oracle_distances(code: CssCode, ceiling: int | None = None) -> tuple[int, int]:
+def oracle_distances(code: CssCode, ceiling: int = DEFAULT_ORACLE_CEILING) -> tuple[int, int]:
     """Ground-truth (d_x, d_z) by exhaustive kernel enumeration; n <= ceiling only."""
-    if ceiling is None:
-        ceiling = oracle_ceiling_from_env()
     if code.n > ceiling:
         raise InputError(
             f"oracle refused: n={code.n} exceeds the {ceiling}-edge ceiling "
@@ -274,15 +247,13 @@ class FormulaComparison:
         )
 
 
-def compare_hex_distances(spec, ceiling: int | None = None) -> FormulaComparison:
+def compare_hex_distances(spec, ceiling: int = DEFAULT_ORACLE_CEILING) -> FormulaComparison:
     """Surface any gap between a hex torus's exact distances and the formulas."""
     from .catalog import toric_family_params
     from .torus import build_hex_torus
 
     params = toric_family_params(spec)
     built = build_hex_torus(spec)
-    if ceiling is None:
-        ceiling = oracle_ceiling_from_env()
     result = certified_distances(built, ceiling)
     return FormulaComparison(
         label=built.label,
@@ -291,14 +262,12 @@ def compare_hex_distances(spec, ceiling: int | None = None) -> FormulaComparison
     )
 
 
-def certified_distances(c: SurfaceComplex, ceiling: int | None = None) -> DistanceResult:
+def certified_distances(c: SurfaceComplex, ceiling: int = DEFAULT_ORACLE_CEILING) -> DistanceResult:
     """Search distances, cross-checked against the oracle whenever n fits.
 
     A search/oracle mismatch raises :class:`DiscrepancyError`: discrepancies
     are findings, never silenced.
     """
-    if ceiling is None:
-        ceiling = oracle_ceiling_from_env()
     result = code_distances(c)
     if c.num_edges <= ceiling:
         d_x, d_z = oracle_distances(build_css(c), ceiling)
@@ -307,11 +276,5 @@ def certified_distances(c: SurfaceComplex, ceiling: int | None = None) -> Distan
                 f"search found (d_x, d_z) = ({result.d_x}, {result.d_z}) but the "
                 f"oracle found ({d_x}, {d_z}) on {c.label!r}"
             )
-        return DistanceResult(
-            d_x=result.d_x,
-            d_z=result.d_z,
-            witness_x=result.witness_x,
-            witness_z=result.witness_z,
-            method=BOTH_AGREE,
-        )
+        return replace(result, method=BOTH_AGREE)
     return result

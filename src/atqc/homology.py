@@ -4,14 +4,22 @@ Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
 Edge sets are packed as integers over its dense edge order (ascending
 edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
 boundary.  The homology bases are computed on first use, checked once, and
-cached on that index.  :func:`boundary_matrices` builds d1 and d2 on each
-request and caches nothing: no library code uses them, they are the
-reference the tests eliminate against.
+cached on that index with both graphs and their signature words (``sides``),
+which the distance search reads.  :func:`boundary_matrices` builds d1 and
+d2 on each request and caches nothing: no library code uses them, they are
+the reference the tests eliminate against.
 The bases come from the tree/co-tree construction: a spanning
 tree of the primal graph plus a spanning tree of the dual graph on the
 remaining edges leave exactly 2g edges; each leftover edge closes one
 primal cycle (through the tree) and one dual cycle (through the co-tree),
 and the two bases pair as the identity matrix by construction.
+Bit i of an edge's signature word says cocycle i (primal side) or cycle i
+(dual side) holds it.  The certificate is checked by columns, in O(E) word
+operations: each face's XOR of the cocycle words over its boundary must be
+0, and cycle i's XOR of them must be ``1 << i``.  Each edge's word goes to
+the faces at both its ends: an edge with both slots on one face, a loop of
+the face adjacency (listed there once), bounds that face twice and cancels,
+as it does in the face mask.
 
 The same construction certifies b1 = dim ker(d1) - rank(d2) = 2g with no
 rank.  Validation guarantees two face slots per edge and |V| - |E| + |F| =
@@ -30,6 +38,9 @@ primal cycle basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, compress, count
+from operator import itemgetter, xor
 from typing import Iterable, Sequence
 
 from .binmat import BinaryMatrix, parity, support
@@ -85,93 +96,99 @@ def betti1(c: SurfaceComplex) -> int:
     return 2 * c.genus
 
 
-def _bfs_parents(incidence: dict, root: int) -> dict[int, tuple[int, int]]:
-    """Breadth-first spanning tree as node -> (edge, parent node)."""
-    parent: dict[int, tuple[int, int]] = {}
-    frontier = [root]
-    seen = {root}
+def _graph(ends: Iterable[int], nodes: tuple[int, ...]) -> tuple[tuple[list, list], list]:
+    """Dense (tails, heads) and node -> [(edge, neighbour)] of the edges whose
+    ends, two per edge, are ``ends``; edges ascending, a loop listed once."""
+    dense = list(map(dict(zip(nodes, range(len(nodes)))).__getitem__, ends))
+    tails, heads = dense[::2], dense[1::2]
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
+    for e, u, v in zip(count(), tails, heads):
+        adjacency[u].append((e, v))
+        if u != v:
+            adjacency[v].append((e, u))
+    return (tails, heads), adjacency
+
+
+def _bfs_tree(adjacency: list, skip=()) -> list:
+    """Breadth-first spanning tree from node 0 off the edges in ``skip``:
+    node x's edge towards node 0, -1 at node 0 and None if unreached."""
+    up: list = [None] * len(adjacency)
+    up[0] = -1
+    frontier = [0]
     while frontier:
         nxt = []
         for u in frontier:
-            for e, w in incidence[u]:
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = (e, u)
+            for e, w in adjacency[u]:
+                if up[w] is None and e not in skip:
+                    up[w] = e
                     nxt.append(w)
         frontier = nxt
-    return parent
+    return up
 
 
-def _tree_cotree(c: SurfaceComplex):
-    """Tree parents, dual co-tree parents, and the 2g leftover edge ids."""
-    # primal spanning tree (BFS, edges in ascending id order)
-    ix = c.index
-    incidence: dict[int, list[tuple[int, int]]] = {v: [] for v in c.vertices}
-    for e in ix.edge_ids:
-        u, v = c.edges[e]
-        if u != v:
-            incidence[u].append((e, v))
-            incidence[v].append((e, u))
-    parent_edge = _bfs_parents(incidence, ix.vertex_ids[0])
-    if len(parent_edge) != c.num_vertices - 1:
-        raise IntegrityError("primal graph is not connected")
-    tree = {e for e, _ in parent_edge.values()}
-
-    # dual spanning tree on the remaining edges
-    dual_incidence: dict[int, list[tuple[int, int]]] = {f: [] for f in c.faces}
-    for e in ix.edge_ids:
-        (f1, _), (f2, _) = ix.slots[e]
-        if e not in tree and f1 != f2:
-            dual_incidence[f1].append((e, f2))
-            dual_incidence[f2].append((e, f1))
-    dual_parent = _bfs_parents(dual_incidence, ix.face_ids[0])
-    if len(dual_parent) != c.num_faces - 1:
-        raise IntegrityError("dual graph minus the spanning tree is not connected")
-    cotree = {e for e, _ in dual_parent.values()}
-
-    leftover = [e for e in ix.edge_ids if e not in tree and e not in cotree]
-    if len(leftover) != 2 * c.genus:
-        raise IntegrityError(
-            f"tree/co-tree leaves {len(leftover)} edges, expected {2 * c.genus}"
-        )
-    return parent_edge, dual_parent, leftover
+def _close(x: int, bit: int, ends: tuple[list, list], up: list, words: list) -> int:
+    """Edge x closed by the tree paths from its two ends, as a mask (a shared
+    prefix cancels); toggles ``bit`` in the word of every edge it walks."""
+    mask = 1 << x
+    words[x] ^= bit
+    tails, heads = ends
+    for y in (tails[x], heads[x]):
+        while y:
+            e = up[y]
+            mask ^= 1 << e
+            words[e] ^= bit
+            y ^= tails[e] ^ heads[e]  # the other end of a tree edge, never a loop
+    return mask
 
 
 def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Paired bases: 2g primal cycles and 2g cocycles with identity pairing.
 
-    Built and checked once per complex: every cocycle must vanish on every
-    face boundary and the pairing matrix must be the identity.
+    Built and checked once per complex, with both sides' graphs and
+    signature words, kept as ``ComplexIndex.sides``.  The certificate is
+    checked by columns: every face's XOR of the cocycle words over its
+    boundary must be 0 (a face-adjacency loop bounds its face twice and
+    cancels); cycle i's XOR of them must be ``1 << i``.
     """
     ix = c.index
     if ix.bases is not None:
         return ix.bases
-    parent_edge, dual_parent, leftover = _tree_cotree(c)
+    (ends, graph), (dual_ends, dual_graph) = (
+        _graph(chain.from_iterable(map(c.edges.__getitem__, ix.edge_ids)), ix.vertex_ids),
+        _graph(map(itemgetter(0), chain.from_iterable(ix.slots.values())), ix.face_ids),
+    )
+    tree = _bfs_tree(graph)
+    if None in tree:
+        raise IntegrityError("primal graph is not connected")
+    cotree = _bfs_tree(dual_graph, set(tree))
+    if None in cotree:
+        raise IntegrityError("dual graph minus the spanning tree is not connected")
+    n = len(ix.edge_ids)
+    leftover = sorted(set(range(n)).difference(tree, cotree))
+    if len(leftover) != 2 * c.genus:
+        raise IntegrityError(
+            f"tree/co-tree leaves {len(leftover)} edges, expected {2 * c.genus}"
+        )
 
-    def path_mask(x: int, parent: dict[int, tuple[int, int]]) -> int:
-        mask = 0
-        while x in parent:
-            e, x = parent[x]
-            mask ^= 1 << ix.bit[e]
-        return mask
-
-    cycles = []
-    cocycles = []
-    for x in leftover:
-        u, v = c.edges[x]
-        cycles.append((1 << ix.bit[x]) ^ path_mask(u, parent_edge) ^ path_mask(v, parent_edge))
-        (f1, _), (f2, _) = ix.slots[x]
-        cocycles.append((1 << ix.bit[x]) ^ path_mask(f1, dual_parent) ^ path_mask(f2, dual_parent))
-    for k, coc in enumerate(cocycles):
-        bad = [f for f, b in ix.face_masks.items() if parity(b & coc)]
-        if bad:
+    # words[0][e] bit i: cocycle i holds edge e; words[1][e] bit i: cycle i does
+    words = ([0] * n, [0] * n)
+    cocycles = [_close(x, 1 << i, dual_ends, cotree, words[0]) for i, x in enumerate(leftover)]
+    cycles = [_close(x, 1 << i, ends, tree, words[1]) for i, x in enumerate(leftover)]
+    sums = [0] * len(dual_graph)
+    for f, g, word in compress(zip(*dual_ends, words[0]), words[0]):
+        sums[f] ^= word
+        sums[g] ^= word  # a face-adjacency loop (f == g) cancels, as in its face mask
+    for f, odd in enumerate(sums):
+        if odd:
             raise IntegrityError(
-                f"cocycle {k} meets face {bad[0]} boundary an odd number of times"
+                f"cocycle {(odd & -odd).bit_length() - 1} meets face {ix.face_ids[f]} "
+                "boundary an odd number of times"
             )
-    for i, cyc in enumerate(cycles):
-        for j, coc in enumerate(cocycles):
-            if parity(cyc & coc) != (1 if i == j else 0):
-                raise IntegrityError("cycle/cocycle pairing matrix is not the identity")
+    for i, cycle in enumerate(cycles):
+        if reduce(xor, map(words[0].__getitem__, support(cycle)), 0) != 1 << i:
+            raise IntegrityError("cycle/cocycle pairing matrix is not the identity")
+    # sides before bases: a thread that sees the bases sees the sides
+    ix.sides = ((graph, words[0]), (dual_graph, words[1]))
     ix.bases = (tuple(cycles), tuple(cocycles))
     return ix.bases
 

@@ -192,22 +192,14 @@ def test_oracle_ceiling_flag():
     assert doc["method"] == "both-agree"
 
 
-def test_distance_reports_the_oracle_from_either_ceiling_source(monkeypatch, capsys):
-    # the shipped file has n = 24; the flag wins over ATQC_ORACLE_CEILING
+def test_distance_reports_the_oracle_from_either_ceiling_source(capsys):
+    # the shipped file has n = 24
     cases = [
-        ([], None, 30),
-        (["--oracle-ceiling", "23"], None, 23),
-        (["--oracle-ceiling", "24"], None, 24),
-        ([], "23", 23),
-        ([], "24", 24),
-        (["--oracle-ceiling", "24"], "5", 24),
-        (["--oracle-ceiling", "5"], "24", 5),
+        ([], 30),
+        (["--oracle-ceiling", "23"], 23),
+        (["--oracle-ceiling", "24"], 24),
     ]
-    for flag, env, ceiling in cases:
-        if env is None:
-            monkeypatch.delenv("ATQC_ORACLE_CEILING", raising=False)
-        else:
-            monkeypatch.setenv("ATQC_ORACLE_CEILING", env)
+    for flag, ceiling in cases:
         assert cli.main(["distance", str(DATA), *flag]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["oracle"] == {"ran": ceiling >= 24, "n": 24, "ceiling": ceiling}

@@ -6,7 +6,6 @@ from atqc.distance import (
     certified_distances,
     code_distances,
     compare_hex_distances,
-    oracle_ceiling_from_env,
     oracle_distances,
     shortest_nontrivial_cycle,
 )
@@ -100,16 +99,6 @@ def test_oracle_refuses_above_ceiling():
         oracle_distances(code, 30)
     # but a raised ceiling admits it
     assert oracle_distances(code, 32) == (4, 4)
-
-
-def test_oracle_ceiling_env_override(monkeypatch):
-    monkeypatch.setenv("ATQC_ORACLE_CEILING", "12")
-    assert oracle_ceiling_from_env() == 12
-    monkeypatch.setenv("ATQC_ORACLE_CEILING", "zeppelin")
-    with pytest.raises(InputError):
-        oracle_ceiling_from_env()
-    monkeypatch.delenv("ATQC_ORACLE_CEILING")
-    assert oracle_ceiling_from_env() == 30
 
 
 def test_certified_distances_method(ingested_genus2):

@@ -2,9 +2,10 @@ import itertools
 
 import pytest
 
+from atqc import homology
 from atqc.binmat import RowBasis, parity
 from atqc.complexes import dual_complex
-from atqc.errors import InputError
+from atqc.errors import InputError, IntegrityError
 from atqc.homology import (
     betti1,
     boundary_matrices,
@@ -84,6 +85,56 @@ def test_cocycle_properties(corpus):
             assert is_cycle(c, cyc)
             for j, coc in enumerate(cocycles):
                 assert parity(cyc & coc) == (1 if i == j else 0)
+
+
+def test_signature_words_hold_the_bases(corpus):
+    # bit i of words[0][e]: cocycle i holds edge e; of words[1][e]: cycle i does
+    for c in corpus:
+        bases = cocycle_basis(c), cocycle_basis(c, dual=True)  # fills c.index.sides
+        for (_, word), basis in zip(c.index.sides, bases):
+            assert len(word) == c.num_edges
+            for i, m in enumerate(basis):
+                for e in range(c.num_edges):
+                    assert (word[e] >> i) & 1 == (m >> e) & 1
+
+
+def _open_walks(monkeypatch, tree_nodes: int) -> None:
+    """Each walk over a tree on ``tree_nodes`` nodes drops its leftover edge, so
+    it closes no cycle (primal tree) or cocycle (co-tree)."""
+    close = homology._close
+
+    def open_walk(x, bit, ends, up, words):
+        mask = close(x, bit, ends, up, words)
+        if len(up) == tree_nodes:
+            words[x] ^= bit
+            mask ^= 1 << x
+        return mask
+
+    monkeypatch.setattr(homology, "_close", open_walk)
+
+
+def _certificate_fails(c, message: str) -> None:
+    with pytest.raises(IntegrityError, match=message):
+        cycle_cocycle_bases(c)
+    assert (c.index.sides, c.index.bases) == (None, None)  # nothing half-checked is kept
+
+
+def test_certificate_rejects_a_cocycle_odd_on_a_face(monkeypatch):
+    c = build_hex_torus(HexTorusSpec("apothem", 2))  # |V| = 2|F| tells the trees apart
+    _open_walks(monkeypatch, c.num_faces)
+    _certificate_fails(c, r"^cocycle [01] meets face \d+ boundary an odd number of times$")
+
+
+def test_certificate_rejects_a_pairing_that_is_not_the_identity(monkeypatch):
+    c = build_hex_torus(HexTorusSpec("apothem", 2))
+    _open_walks(monkeypatch, c.num_vertices)
+    _certificate_fails(c, "^cycle/cocycle pairing matrix is not the identity$")
+
+
+def test_certificate_rejects_a_wrong_leftover_count(monkeypatch):
+    c = build_hex_torus(HexTorusSpec("apothem", 2))
+    monkeypatch.setattr(c, "genus", 2)
+    _certificate_fails(c, "^tree/co-tree leaves 2 edges, expected 4$")
 
 
 def test_square3_cocycles_are_parallel_edge_cuts():

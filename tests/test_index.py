@@ -158,7 +158,10 @@ def test_export_builds_no_bases_and_check_one_product(monkeypatch, tmp_path, cap
 def test_racing_threads_fill_equal_values():
     # more threads than cores, switching as often as the interpreter allows
     reference = build_hex_torus(HexTorusSpec("apothem", 3))
-    expected = (boundary_matrices(reference).d2, betti1(reference), cycle_cocycle_bases(reference))
+    expected = (
+        boundary_matrices(reference).d2, betti1(reference), cycle_cocycle_bases(reference),
+        reference.index.sides,
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -169,7 +172,10 @@ def test_racing_threads_fill_equal_values():
 
             def work():
                 start.wait(timeout=10)
-                results.append((boundary_matrices(c).d2, betti1(c), cycle_cocycle_bases(c)))
+                # the sides are set before the bases: whoever sees the bases sees them
+                results.append(
+                    (boundary_matrices(c).d2, betti1(c), cycle_cocycle_bases(c), c.index.sides)
+                )
 
             threads = [threading.Thread(target=work) for _ in range(8)]
             for t in threads:
