@@ -14,7 +14,7 @@ import json
 import shutil
 import sys
 import tempfile
-from functools import partial
+from functools import cache, partial
 from typing import IO, Callable
 
 from .catalog import emit_curves, emit_tables, family_params
@@ -155,7 +155,14 @@ def cmd_curves(args) -> int:
     return _deliver(args.out, partial(emit_curves, pairs, range(args.g_from, args.g_to + 1)))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``atqc`` parser, built once per process on first use and shared.
+
+    Each subcommand's ``func`` default is the ``cmd_*`` function it named
+    when the parser was built, so a ``cmd_*`` replaced after the first call
+    is not seen; patch what a command calls instead.
+    """
     parser = argparse.ArgumentParser(
         prog="atqc",
         description="Construct, verify, and characterize asymmetric topological quantum codes.",
@@ -218,8 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``atqc`` command and return its exit code.
+
+    It may be called repeatedly in one process: every call parses with the
+    same shared parser and leaves no state behind for the next.
+    """
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DiscrepancyError as exc:

@@ -266,8 +266,11 @@ def certified_distances(c: SurfaceComplex, ceiling: int = DEFAULT_ORACLE_CEILING
     """Search distances, cross-checked against the oracle whenever n fits.
 
     A search/oracle mismatch raises :class:`DiscrepancyError`: discrepancies
-    are findings, never silenced.
+    are findings, never silenced.  A negative ceiling raises
+    :class:`InputError`; a ceiling of 0 never runs the oracle.
     """
+    if ceiling < 0:
+        raise InputError(f"oracle ceiling must be >= 0, got {ceiling}")
     result = code_distances(c)
     if c.num_edges <= ceiling:
         d_x, d_z = oracle_distances(build_css(c), ceiling)

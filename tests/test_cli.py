@@ -1,7 +1,10 @@
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
+
+import pytest
 
 from atqc import cli
 from atqc.errors import DiscrepancyError
@@ -198,6 +201,7 @@ def test_distance_reports_the_oracle_from_either_ceiling_source(capsys):
         ([], 30),
         (["--oracle-ceiling", "23"], 23),
         (["--oracle-ceiling", "24"], 24),
+        (["--oracle-ceiling", "0"], 0),
     ]
     for flag, ceiling in cases:
         assert cli.main(["distance", str(DATA), *flag]) == 0
@@ -205,3 +209,121 @@ def test_distance_reports_the_oracle_from_either_ceiling_source(capsys):
         assert doc["oracle"] == {"ran": ceiling >= 24, "n": 24, "ceiling": ceiling}
         assert doc["oracle"]["ran"] == (doc["method"] == "both-agree")
         assert (doc["d_x"], doc["d_z"]) == (5, 2)
+
+
+SUBCOMMANDS = ("classify", "params", "build", "check", "distance", "export", "table", "curves")
+
+
+def in_process(capsys, argv):
+    """Exit code, stdout and stderr of one in-process command."""
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def test_negative_oracle_ceiling_is_rejected(capsys):
+    rc, out, err = in_process(capsys, ["distance", str(DATA), "--oracle-ceiling", "-1"])
+    assert rc == 2 and out == ""
+    assert "oracle ceiling must be >= 0, got -1" in err
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_every_subcommand_repeats_byte_identically(capsys, tmp_path):
+    export_out = tmp_path / "hz.alist"
+    curves_out = tmp_path / "curves.csv"
+    commands = {
+        "classify": (["classify", "--p", "7", "--q", "3"], None),
+        "params": (["params", "--p", "8", "--q", "3", "--g", "2"], None),
+        "build": (["build", "--square", "2"], None),
+        "check": (["check", str(DATA)], None),
+        "distance": (["distance", str(DATA)], None),
+        "export": (["export", str(DATA), "--format", "alist", "--out", str(export_out)], export_out),
+        "table": (["table"], None),
+        "curves": (["curves", "--pair", "7,3", "--g-to", "4", "--out", str(curves_out)], curves_out),
+    }
+    assert tuple(commands) == SUBCOMMANDS
+    for argv, out_file in commands.values():
+        runs = []
+        for _ in range(2):
+            rc, out, err = in_process(capsys, argv)
+            runs.append((rc, out, err, out_file.read_bytes() if out_file else out.encode()))
+        assert runs[0] == runs[1], argv
+        rc, _, err, result = runs[0]
+        assert rc == 0 and err == "" and result, argv
+
+
+def test_curves_pairs_do_not_carry_over_between_calls(capsys):
+    assert cli.main(["curves", "--pair", "7,3", "--g-to", "3"]) == 0
+    assert '"{7,3}"' in capsys.readouterr().out
+    assert cli.main(["curves", "--pair", "5,4", "--g-to", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 2
+    assert all(row.startswith('"{5,4}",') for row in rows)
+
+
+def test_failed_calls_leave_the_next_call_unchanged(capsys):
+    good = ["distance", str(DATA)]
+    before = in_process(capsys, good)
+    assert before[0] == 0
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["distance", str(DATA), "--oracle-ceiling", "many"])
+    assert usage.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert in_process(capsys, good) == before
+    rc, out, err = in_process(capsys, ["curves", "--pair", "6,3"])
+    assert rc == 2 and out == "" and "euclidean" in err
+    assert in_process(capsys, good) == before
+
+
+def test_help_exits_0_and_repeats(capsys):
+    texts = []
+    for argv in (["--help"], ["distance", "--help"]) * 2:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[2:] == texts[:2]
+    top, distance = texts[:2]
+    for name in SUBCOMMANDS:
+        assert name in top
+    assert "--oracle-ceiling" in distance
+
+
+def test_racing_threads_parse_with_the_shared_parser():
+    # more threads than cores, switching as often as the interpreter allows
+    argvs = [
+        ["classify", "--p", "7", "--q", "3"],
+        ["params", "--p", "8", "--q", "3", "--g", "2"],
+        ["build", "--hex-edge", "6", "--out", "x.json"],
+        ["check", "-"],
+        ["distance", "f.json", "--oracle-ceiling", "12"],
+        ["export", "f.json", "--format", "dense-text", "--matrix", "hx"],
+        ["curves", "--pair", "7,3", "--pair", "5,4", "--g-from", "3"],
+        ["curves", "--pair", "10,5"],
+    ]
+    expected = [cli.build_parser().parse_args(argv) for argv in argvs]
+    results = [None] * len(argvs)
+    start = threading.Barrier(len(argvs))
+
+    def work(i):
+        start.wait(timeout=10)
+        results[i] = [cli.build_parser().parse_args(argvs[i]) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(argvs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for namespaces, want in zip(results, expected):
+        assert namespaces == [want] * 200
+    # append copies the shared default before it appends
+    assert cli.build_parser().parse_args(["curves"]).pair == []

@@ -108,6 +108,11 @@ def test_certified_distances_method(ingested_genus2):
     assert certified_distances(big).method == "search"
 
 
+def test_certified_distances_rejects_a_negative_ceiling(ingested_genus2):
+    with pytest.raises(InputError, match=r"oracle ceiling must be >= 0, got -1"):
+        certified_distances(ingested_genus2, -1)
+
+
 def test_ceiling_formula_matches_at_small_apothem_scales():
     for xi in (2, 3):
         cmp = compare_hex_distances(HexTorusSpec("apothem", xi))
