@@ -31,9 +31,10 @@ hyperbolic complexes, which this package checks but does not generate.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress
+from itertools import compress, count
 from typing import IO, Iterable, Mapping
 
 from .errors import ComplexError
@@ -43,32 +44,33 @@ from .errors import ComplexError
 class ComplexIndex:
     """The dense numbering of one complex, shared by every algebraic layer.
 
-    ``edge_ids`` is the dense edge order (ascending ids) and ``bit`` maps an
-    edge id to its bit position in every edge mask; ``slots`` maps an edge
-    to its two (face, position) slots in ascending order; ``face_masks`` and
-    ``star_masks`` are the Z2 face boundaries and vertex stars over that
-    order.  The map validation accepted is kept over its darts, the face
-    slots in (face id, position) order: ``alpha`` pairs an edge's two slots,
-    ``phi`` steps along a face as read, ``dart_vertex`` is the id of the
-    vertex whose rotation holds a dart and ``dart_face`` its face's dense
-    index.  Validation builds these.  The check matrices and the boundary
+    Every list here is indexed by dense dart, edge, vertex or face numbers
+    and holds such numbers; ``edge_ids``, ``vertex_ids`` and ``face_ids``
+    name them by ascending id, and ``bit`` (edge id -> edge number, its bit
+    in every edge mask) is the only bridge from ids.  The darts are the face
+    slots in (face id, position) order: ``alpha`` pairs an edge's two, ``phi``
+    steps along a face as read, ``dart_vertex`` and ``dart_face`` give the
+    vertex whose rotation holds a dart and its face.  An edge's incidence is
+    held once, as its first slot ``edge_dart[e]`` and that dart's alpha.
+    ``face_masks`` and ``star_masks`` are the face boundaries and vertex
+    stars.  Validation builds these; the check matrices and the boundary
     operators are read off the masks on request and not cached.  ``bases``
     and ``sides`` are filled on first use by :mod:`atqc.homology`, ``orbits``
     by :mod:`atqc.distance`.  ``sides[0]`` (vertex graph) and ``sides[1]``
-    (face adjacency) are each (dense node -> [(edge bit, neighbour)], one
-    word per edge whose bit i says cocycle i, resp. cycle i, holds it).
-    Threads racing to fill a field compute equal values, so no lock is
-    needed; ``sides`` is set first, so whoever sees ``bases`` sees it too.
-    Nothing mutates what the index hands out.
+    (face adjacency) are each (node -> [(edge, neighbour)], one word per
+    edge whose bit i says cocycle i, resp. cycle i, holds it).  Threads
+    racing to fill a field compute equal values, so no lock is needed;
+    ``sides`` is set first, so whoever sees ``bases`` sees it too.  Nothing
+    mutates what the index hands out.
     """
 
     edge_ids: tuple[int, ...]
     bit: dict[int, int]
     vertex_ids: tuple[int, ...]
     face_ids: tuple[int, ...]
-    slots: dict[int, list[tuple[int, int]]]
-    face_masks: dict[int, int]
-    star_masks: dict[int, int]
+    edge_dart: list[int]
+    face_masks: list[int]
+    star_masks: list[int]
     alpha: list[int]
     phi: list[int]
     dart_vertex: list[int]
@@ -126,46 +128,46 @@ class SurfaceComplex:
     def _validate(self) -> None:
         if self.genus < 1:
             raise ComplexError(f"genus must be >= 1, got {self.genus}")
-        if len(set(self.vertices)) != len(self.vertices):
+        vertex_ids, edge_ids = tuple(sorted(self.vertices)), tuple(sorted(self.edges))
+        vpos, bit = dict(zip(vertex_ids, count())), dict(zip(edge_ids, count()))
+        if len(vpos) != len(vertex_ids):
             raise ComplexError("duplicate vertex ids")
-        edge_ids = tuple(sorted(self.edges))
-        bit = {e: i for i, e in enumerate(edge_ids)}
-        stars = {v: 0 for v in self.vertices}
+        stars = [0] * len(vertex_ids)
         for e, (u, v) in self.edges.items():
-            if u not in stars or v not in stars:
+            if u not in vpos or v not in vpos:
                 raise ComplexError(f"edge {e} references unknown vertex")
             if u != v:
-                stars[u] ^= 1 << bit[e]
-                stars[v] ^= 1 << bit[e]
+                stars[vpos[u]] ^= 1 << bit[e]
+                stars[vpos[v]] ^= 1 << bit[e]
         face_ids = tuple(sorted(self.faces))
-        slots: dict[int, list[tuple[int, int]]] = {e: [] for e in edge_ids}
-        face_masks = {}
-        first, face_of, edge_of = [0], [], []
+        face_masks, first, face_of, edge_of = [], [0], [], []
         for i, f in enumerate(face_ids):
             cyc = self.faces[f]
             if not cyc:
                 raise ComplexError(f"face {f} has an empty edge cycle")
             mask = 0
-            for t, e in enumerate(cyc):
-                if e not in slots:
+            for e in cyc:
+                if e not in bit:
                     raise ComplexError(f"face {f} references unknown edge {e}")
-                slots[e].append((f, t))
                 mask ^= 1 << bit[e]
-            face_masks[f] = mask
+            face_masks.append(mask)
             face_of += [i] * len(cyc)
             edge_of += cyc
             first.append(len(edge_of))
-        bad = [e for e, s in slots.items() if len(s) != 2]
-        if bad:
-            raise ComplexError(
-                f"edge {bad[0]} borders {len(slots[bad[0]])} face-slots, expected exactly 2"
-            )
-        # darts are the face slots in (face id, position) order; alpha pairs
-        # the two slots of an edge, so d < alpha[d] marks an edge's first slot
-        offset, alpha = dict(zip(face_ids, first)), [0] * len(edge_of)
-        for (f1, t1), (f2, t2) in slots.values():
-            a, b = offset[f1] + t1, offset[f2] + t2
-            alpha[a], alpha[b] = b, a
+        # darts are the face slots in (face id, position) order; an edge's
+        # first dart is its first slot, and alpha pairs it with the other
+        edge_dart, alpha = [-1] * len(edge_ids), [-1] * len(edge_of)
+        for d, b in enumerate(map(bit.__getitem__, edge_of)):
+            a = edge_dart[b]
+            if a < 0:
+                edge_dart[b] = d
+            else:
+                alpha[a], alpha[d] = d, a
+        # 2E darts, each edge met and each dart paired: exactly two slots per edge
+        if len(alpha) != 2 * len(edge_ids) or -1 in edge_dart or -1 in alpha:
+            counts = Counter(edge_of)
+            bad = next(e for e in edge_ids if counts[e] != 2)
+            raise ComplexError(f"edge {bad} borders {counts[bad]} face-slots, expected exactly 2")
         # tail/head: the vertices each slot runs between along its face's walk;
         # an alternating walk (x y x y ...) of four or more slots runs either way
         alternating, tail, head = [], [], []
@@ -267,8 +269,8 @@ class SurfaceComplex:
                 f"Euler characteristic {chi} inconsistent with genus {self.genus} "
                 f"(expected {2 - 2 * self.genus})"
             )
-        self.index = ComplexIndex(edge_ids, bit, tuple(sorted(self.vertices)), face_ids, slots,
-                                  face_masks, stars, alpha, phi, owner, face_of)
+        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, edge_dart, face_masks,
+                                  stars, alpha, phi, list(map(vpos.__getitem__, owner)), face_of)
         self.degenerate_faces = tuple(
             f for f in face_ids if len(set(self.faces[f])) < len(self.faces[f])
         )
@@ -299,10 +301,6 @@ class SurfaceComplex:
 
     # -- derived structure ------------------------------------------------
 
-    def edge_slots(self) -> dict[int, list[tuple[int, int]]]:
-        """Edge id -> the two (face, position) slots bordering it."""
-        return self.index.slots
-
     def vertex_degrees(self) -> dict[int, int]:
         return {v: len(ring) for v, ring in self.rotations.items()}
 
@@ -313,10 +311,12 @@ def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
     Edge e joins the faces of its first and second slot, and the dual face
     of a vertex is its rotation, so every dual face runs the same way round.
     """
+    ix = c.index
+    face = [ix.face_ids[i] for i in ix.dart_face]
     return SurfaceComplex(
         genus=c.genus,
-        vertices=c.index.face_ids,
-        edges={e: (s[0][0], s[1][0]) for e, s in c.index.slots.items()},
+        vertices=ix.face_ids,
+        edges={e: (face[d], face[ix.alpha[d]]) for e, d in zip(ix.edge_ids, ix.edge_dart)},
         faces=c.rotations,
         label=f"dual({c.label})" if c.label else "dual",
     )
@@ -407,6 +407,6 @@ def save_complex(c: SurfaceComplex, sink: IO[str]) -> None:
 def load_complex(source: IO[str]) -> SurfaceComplex:
     try:
         doc = json.load(source)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: decoding, syntax, digit limit
         raise ComplexError(f"malformed JSON: {exc}") from exc
     return complex_from_dict(doc)

@@ -102,8 +102,7 @@ def map_orbits(c: SurfaceComplex) -> tuple[list[list[int]], list[int], list[int]
     ix = c.index
     if ix.orbits is None:
         alpha, phi, n = ix.alpha, ix.phi, len(ix.alpha)
-        vindex = {v: i for i, v in enumerate(ix.vertex_ids)}
-        cells = (list(map(vindex.__getitem__, ix.dart_vertex)), ix.dart_face)
+        cells = (ix.dart_vertex, ix.dart_face)
         # reps[0][i] is a dart at vertex i, reps[1][i] one on face i
         reps = [list(map(dict(zip(cell, range(n))).__getitem__, range(len(ids))))
                 for cell, ids in zip(cells, (ix.vertex_ids, ix.face_ids))]
@@ -214,6 +213,8 @@ def _min_coset_weight(kernel_of: list[int], modulo_rows: list[int], k_expected: 
 
 def oracle_distances(code: CssCode, ceiling: int = DEFAULT_ORACLE_CEILING) -> tuple[int, int]:
     """Ground-truth (d_x, d_z) by exhaustive kernel enumeration; n <= ceiling only."""
+    if ceiling < 0:
+        raise InputError(f"oracle ceiling must be >= 0, got {ceiling}")
     if code.n > ceiling:
         raise InputError(
             f"oracle refused: n={code.n} exceeds the {ceiling}-edge ceiling "

@@ -3,7 +3,9 @@
 Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
 Edge sets are packed as integers over its dense edge order (ascending
 edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
-boundary.  The homology bases are computed on first use, checked once, and
+boundary.  Both graphs are read off the darts: edge e's ends are the
+``dart_vertex`` and its faces the ``dart_face`` of ``edge_dart[e]`` and its
+alpha.  The homology bases are computed on first use, checked once, and
 cached on that index with both graphs and their signature words (``sides``),
 which the distance search reads.  :func:`boundary_matrices` builds d1 and
 d2 on each request and caches nothing: no library code uses them, they are
@@ -39,8 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count
-from operator import itemgetter, xor
+from itertools import compress, count
+from operator import xor
 from typing import Iterable, Sequence
 
 from .binmat import BinaryMatrix, parity, support
@@ -81,8 +83,8 @@ def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
     """d1 and d2 from the index's masks, checked d1 . d2 = 0."""
     ix = c.index
     n = len(ix.edge_ids)
-    d2 = BinaryMatrix(len(ix.face_ids), n, [ix.face_masks[f] for f in ix.face_ids]).transpose()
-    d1 = BinaryMatrix(len(ix.vertex_ids), n, [ix.star_masks[v] for v in ix.vertex_ids])
+    d2 = BinaryMatrix(len(ix.face_ids), n, ix.face_masks).transpose()
+    d1 = BinaryMatrix(len(ix.vertex_ids), n, ix.star_masks)
     if not (d1 @ d2).is_zero():
         raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
     return ChainComplexZ2(
@@ -96,17 +98,16 @@ def betti1(c: SurfaceComplex) -> int:
     return 2 * c.genus
 
 
-def _graph(ends: Iterable[int], nodes: tuple[int, ...]) -> tuple[tuple[list, list], list]:
-    """Dense (tails, heads) and node -> [(edge, neighbour)] of the edges whose
-    ends, two per edge, are ``ends``; edges ascending, a loop listed once."""
-    dense = list(map(dict(zip(nodes, range(len(nodes)))).__getitem__, ends))
-    tails, heads = dense[::2], dense[1::2]
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in nodes]
+def _graph(cell: list, darts: tuple[list, list], nodes: int) -> tuple[tuple[list, list], list]:
+    """(tails, heads) and node -> [(edge, neighbour)] of the edges whose two
+    darts are ``darts``, each at node ``cell[dart]``; edges ascending, a loop once."""
+    tails, heads = ends = tuple(list(map(cell.__getitem__, side)) for side in darts)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
     for e, u, v in zip(count(), tails, heads):
         adjacency[u].append((e, v))
         if u != v:
             adjacency[v].append((e, u))
-    return (tails, heads), adjacency
+    return ends, adjacency
 
 
 def _bfs_tree(adjacency: list, skip=()) -> list:
@@ -153,10 +154,9 @@ def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, 
     ix = c.index
     if ix.bases is not None:
         return ix.bases
-    (ends, graph), (dual_ends, dual_graph) = (
-        _graph(chain.from_iterable(map(c.edges.__getitem__, ix.edge_ids)), ix.vertex_ids),
-        _graph(map(itemgetter(0), chain.from_iterable(ix.slots.values())), ix.face_ids),
-    )
+    darts = ix.edge_dart, list(map(ix.alpha.__getitem__, ix.edge_dart))
+    ends, graph = _graph(ix.dart_vertex, darts, len(ix.vertex_ids))
+    dual_ends, dual_graph = _graph(ix.dart_face, darts, len(ix.face_ids))
     tree = _bfs_tree(graph)
     if None in tree:
         raise IntegrityError("primal graph is not connected")
@@ -201,7 +201,7 @@ def cocycle_basis(c: SurfaceComplex, dual: bool = False) -> tuple[int, ...]:
 
 def is_cycle(c: SurfaceComplex, mask: int, dual: bool = False) -> bool:
     closers = c.index.face_masks if dual else c.index.star_masks
-    return all(parity(m & mask) == 0 for m in closers.values())
+    return all(parity(m & mask) == 0 for m in closers)
 
 
 def homology_signature(

@@ -50,8 +50,8 @@ def build_css(c: SurfaceComplex) -> CssCode:
     """
     ix = c.index
     n = len(ix.edge_ids)
-    hx = BinaryMatrix(len(ix.face_ids), n, [ix.face_masks[f] for f in ix.face_ids])
-    hz = BinaryMatrix(len(ix.vertex_ids), n, [ix.star_masks[v] for v in ix.vertex_ids])
+    hx = BinaryMatrix(len(ix.face_ids), n, ix.face_masks)
+    hz = BinaryMatrix(len(ix.vertex_ids), n, ix.star_masks)
     warnings = []
     zero_rows = [f for f, row in zip(ix.face_ids, hx.data) if row == 0]
     if zero_rows:

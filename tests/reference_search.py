@@ -39,7 +39,11 @@ def all_roots_shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -
         for i in support(coc):
             sig_delta[i] |= 1 << j
     if dual:
-        nodes, ends = ix.face_ids, [(s[0][0], s[1][0]) for s in ix.slots.values()]
+        faces_of: dict[int, list[int]] = {e: [] for e in ix.edge_ids}
+        for f in ix.face_ids:
+            for e in c.faces[f]:
+                faces_of[e].append(f)
+        nodes, ends = ix.face_ids, list(faces_of.values())
     else:
         nodes, ends = ix.vertex_ids, [c.edges[e] for e in ix.edge_ids]
     vindex = {v: i for i, v in enumerate(nodes)}

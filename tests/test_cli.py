@@ -131,6 +131,31 @@ def test_check_rejects_corrupted_file(tmp_path):
     assert "face-slots" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("check", b"\xff\xfe{}\n"),
+        ("distance", b"[" * 100000),
+        ("check", b'{"genus": 1' + b"0" * 5000 + b"}"),
+    ],
+    ids=["not-utf8", "nested-100000-deep", "5001-digit-integer"],
+)
+@pytest.mark.parametrize("via", ["path", "stdin"])
+def test_undecodable_json_exits_2_without_a_traceback(tmp_path, command, data, via):
+    # json.load raises UnicodeDecodeError, RecursionError and, past the interpreter's
+    # integer digit limit, a plain ValueError on these, not JSONDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    args, stdin = ([str(bad)], None) if via == "path" else (["-"], data)
+    proc = subprocess.run(
+        [sys.executable, "-m", "atqc", command, *args], input=stdin, capture_output=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ")
+    assert b"Traceback" not in proc.stderr
+
+
 def test_missing_file_is_io_error():
     proc = run_cli("check", "/nonexistent/nope.json")
     assert proc.returncode == 4

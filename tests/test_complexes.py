@@ -3,6 +3,7 @@ import io
 import pytest
 
 from atqc.complexes import (
+    SurfaceComplex,
     complex_from_dict,
     complex_to_dict,
     dual_complex,
@@ -147,6 +148,25 @@ def test_removed_face_slot_rejected():
     doc["faces"][0]["edge_cycle"] = doc["faces"][0]["edge_cycle"][1:]
     with pytest.raises(ComplexError, match="face-slots"):
         complex_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "change, count",
+    [("append", 3), ("replace-one", 1), ("replace-all", 0)],
+)
+def test_edge_slot_counts_other_than_two_rejected(change, count):
+    # 2E + 1 darts; 2E darts with one unpaired; 2E darts, all paired, one edge unmet
+    c = build_square_torus(SquareTorusSpec(2))
+    a, b = sorted(c.edges)[:2]
+    faces = {f: list(cyc) for f, cyc in c.faces.items()}
+    slots = [(f, t) for f, cyc in faces.items() for t, e in enumerate(cyc) if e == a]
+    if change == "append":
+        faces[slots[0][0]].append(a)
+    for f, t in slots[: {"append": 0, "replace-one": 1, "replace-all": 2}[change]]:
+        faces[f][t] = b
+    message = f"^edge {a} borders {count} face-slots, expected exactly 2$"
+    with pytest.raises(ComplexError, match=message):
+        SurfaceComplex(c.genus, c.vertices, c.edges, faces)
 
 
 def test_wrong_genus_rejected():

@@ -111,6 +111,9 @@ def test_certified_distances_method(ingested_genus2):
 def test_certified_distances_rejects_a_negative_ceiling(ingested_genus2):
     with pytest.raises(InputError, match=r"oracle ceiling must be >= 0, got -1"):
         certified_distances(ingested_genus2, -1)
+    # the oracle itself names the ceiling, not the input, as what is wrong
+    with pytest.raises(InputError, match=r"^oracle ceiling must be >= 0, got -1$"):
+        oracle_distances(build_css(ingested_genus2), -1)
 
 
 def test_ceiling_formula_matches_at_small_apothem_scales():

@@ -24,7 +24,7 @@ from atqc.homology import (
 )
 from atqc.stabilizer import build_css
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
-from test_irregular import merge_across, one_vertex_torus
+from test_irregular import edge_slots, merge_across, one_vertex_torus
 
 
 def merged_complexes():
@@ -40,7 +40,7 @@ def merged_complexes():
     for _ in range(12):
         c = rng.choice(bases)()
         for _ in range(rng.randint(1, 2)):
-            candidates = [e for e, s in c.edge_slots().items() if s[0][0] != s[1][0]]
+            candidates = [e for e, s in edge_slots(c).items() if s[0][0] != s[1][0]]
             c = merge_across(c, rng.choice(candidates))
         out.append(c)
     return out
@@ -55,28 +55,35 @@ def complexes(corpus):
 def test_index_equals_recomputation(complexes):
     for c in complexes:
         ix = c.index
-        order = sorted(c.edges)
+        order, vertices, faces = sorted(c.edges), sorted(c.vertices), sorted(c.faces)
         assert ix.edge_ids == tuple(order), c.label
         assert ix.bit == {e: order.index(e) for e in c.edges}
-        assert ix.vertex_ids == tuple(sorted(c.vertices))
-        assert ix.face_ids == tuple(sorted(c.faces))
-        slots = {
-            e: sorted((f, t) for f, cyc in c.faces.items() for t, x in enumerate(cyc) if x == e)
-            for e in c.edges
-        }
-        assert ix.slots == slots
-        assert list(ix.slots) == order
-        faces = {
-            f: sum(1 << order.index(e) for e in set(cyc) if cyc.count(e) % 2)
-            for f, cyc in c.faces.items()
-        }
-        assert ix.face_masks == faces
-        assert list(ix.face_masks) == sorted(c.faces)
-        stars = {
-            v: sum(1 << order.index(e) for e, ends in c.edges.items() if ends.count(v) % 2)
-            for v in c.vertices
-        }
-        assert ix.star_masks == stars
+        assert ix.vertex_ids == tuple(vertices)
+        assert ix.face_ids == tuple(faces)
+        assert ix.face_masks == [
+            sum(1 << order.index(e) for e in set(c.faces[f]) if c.faces[f].count(e) % 2)
+            for f in faces
+        ]
+        assert ix.star_masks == [
+            sum(1 << order.index(e) for e, ends in c.edges.items() if ends.count(v) % 2)
+            for v in vertices
+        ]
+        # dart d is the d-th face slot in (face id, position) order
+        darts = [(f, t) for f in faces for t in range(len(c.faces[f]))]
+        assert len(ix.alpha) == len(ix.dart_vertex) == len(ix.dart_face) == len(darts)
+        assert len(ix.edge_dart) == len(order)
+        for e, d in zip(order, ix.edge_dart):
+            slots = sorted(
+                (f, t) for f, cyc in c.faces.items() for t, x in enumerate(cyc) if x == e
+            )
+            pair = (d, ix.alpha[d])
+            assert [darts[x] for x in pair] == slots, (c.label, e)
+            assert sorted(ix.vertex_ids[ix.dart_vertex[x]] for x in pair) == sorted(c.edges[e])
+            assert [ix.face_ids[ix.dart_face[x]] for x in pair] == [f for f, _ in slots]
+        for d, (f, t) in enumerate(darts):
+            assert 0 <= ix.dart_vertex[d] < len(vertices)
+            assert ix.vertex_ids[ix.dart_vertex[d]] in c.edges[c.faces[f][t]]
+            assert ix.dart_face[d] == faces.index(f)
         every = (1 << len(order)) - 1
         assert edges_to_mask(c, order) == every
         assert mask_to_edges(c, every) == tuple(order)

@@ -36,10 +36,18 @@ def face_walk(c: SurfaceComplex, face: int) -> tuple[int, ...]:
     raise AssertionError(f"face {face} is not a closed walk")
 
 
+def edge_slots(c: SurfaceComplex) -> dict[int, list[tuple[int, int]]]:
+    """Edge id -> its (face, position) slots, ascending, read off ``c.faces``."""
+    slots: dict[int, list[tuple[int, int]]] = {e: [] for e in sorted(c.edges)}
+    for f in sorted(c.faces):
+        for t, e in enumerate(c.faces[f]):
+            slots[e].append((f, t))
+    return slots
+
+
 def merge_across(c: SurfaceComplex, edge: int) -> SurfaceComplex:
     """Dissolve an edge between two distinct faces, splicing their cycles."""
-    slots = c.edge_slots()
-    (f1, t1), (f2, t2) = slots[edge]
+    (f1, t1), (f2, t2) = edge_slots(c)[edge]
     assert f1 != f2, "pick an edge bordering two distinct faces"
 
     def rotated(face, t):
@@ -88,7 +96,7 @@ def test_merged_hex_torus(edge):
 
 def test_double_merge_stays_consistent():
     c = merge_across(build_square_torus(SquareTorusSpec(3)), 0)
-    inner = [e for e, s in c.edge_slots().items() if s[0][0] != s[1][0]]
+    inner = [e for e, s in edge_slots(c).items() if s[0][0] != s[1][0]]
     c2 = merge_across(c, inner[3])
     assert betti1(c2) == 2
     r = code_distances(c2)
@@ -139,7 +147,7 @@ def random_merges(seed: int):
     for _ in range(12):
         c = rng.choice(bases)()
         for _ in range(rng.randint(1, 2)):
-            candidates = [e for e, s in c.edge_slots().items() if s[0][0] != s[1][0]]
+            candidates = [e for e, s in edge_slots(c).items() if s[0][0] != s[1][0]]
             c = merge_across(c, rng.choice(candidates))
         yield c
 
