@@ -5,7 +5,7 @@ evaluates closed-form {p,q} parameter formulas, computes exact asymmetric
 distances by homological cycle search, and certifies ingested hyperbolic
 complexes.
 """
-from .binmat import BinaryMatrix, RowBasis, in_row_space
+from .binmat import BinaryMatrix, RowBasis
 from .catalog import (
     CodeParams,
     FamilyRow,
@@ -15,7 +15,6 @@ from .catalog import (
     emit_tables,
     family_params,
     fixed_pair_rate,
-    swap_dual,
     toric_family_params,
 )
 from .complexes import SurfaceComplex, dual_complex, load_complex, save_complex
@@ -23,7 +22,6 @@ from .distance import (
     DistanceResult,
     certified_distances,
     code_distances,
-    compare_hex_distances,
     oracle_distances,
     shortest_nontrivial_cycle,
 )
@@ -51,7 +49,6 @@ from .torus import (
     SquareTorusSpec,
     build_hex_torus,
     build_square_torus,
-    hex_census_check,
 )
 
 __version__ = "0.1.0"

@@ -30,26 +30,6 @@ class BinaryMatrix:
             mask = (1 << cols) - 1
             self.data = [int(r) & mask for r in data]
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "BinaryMatrix":
-        """Build from an iterable of 0/1 row sequences."""
-        packed = []
-        width = cols
-        for row in rows:
-            row = list(row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError("ragged rows")
-            word = 0
-            for j, bit in enumerate(row):
-                if bit & 1:
-                    word |= 1 << j
-            packed.append(word)
-        if width is None:
-            raise ValueError("cannot infer column count from empty input")
-        return cls(len(packed), width, packed)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BinaryMatrix)
@@ -60,9 +40,6 @@ class BinaryMatrix:
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.rows}x{self.cols})"
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(w >> j) & 1 for j in range(self.cols)] for w in self.data]
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -90,14 +67,6 @@ class BinaryMatrix:
                 t &= t - 1
             out.append(acc)
         return BinaryMatrix(self.rows, other.cols, out)
-
-    def mul_vector(self, v: int) -> int:
-        """Matrix-vector product; v is a column vector packed as an int."""
-        out = 0
-        for i, w in enumerate(self.data):
-            if parity(w & v):
-                out |= 1 << i
-        return out
 
     def rank(self) -> int:
         return RowBasis(self.data).rank
@@ -164,11 +133,6 @@ class RowBasis:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-
-def in_row_space(m: BinaryMatrix, v: int) -> bool:
-    """Decide membership of v in the row space of m."""
-    return RowBasis(m.data).contains(v)
 
 
 def support(v: int) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ family rows take p -> infinity at fixed q (rates (q-2)/q), while a fixed
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable, Sequence
 
@@ -92,11 +92,6 @@ def toric_family_params(spec: HexTorusSpec) -> CodeParams:
     )
 
 
-def swap_dual(params: CodeParams) -> CodeParams:
-    """Exchange the tessellation with its dual: d_x and d_z trade places."""
-    return replace(params, pair=params.pair.dual, d_x=params.d_z, d_z=params.d_x)
-
-
 @dataclass(frozen=True)
 class FamilyRow:
     """A fixed-q family {p,q}: symbolic census formulas and asymptotic rate."""
@@ -105,15 +100,6 @@ class FamilyRow:
     n_f_formula: str
     n_f_star_formula: str
     n_formula: str
-
-    def n_f(self, p: int, g: int) -> Fraction:
-        return Fraction(4 * self.q * (g - 1), p * self.q - 2 * p - 2 * self.q)
-
-    def n_f_star(self, p: int, g: int) -> Fraction:
-        return self.n_f(p, g) * p / self.q
-
-    def n(self, p: int, g: int) -> Fraction:
-        return self.n_f(p, g) * p / 2
 
     @property
     def asymptotic_rate(self) -> Fraction:
@@ -236,13 +222,17 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
     """Per-genus raw (unrounded) d_h/l ratios, ceilinged bounds, and rates.
 
     Every row is computed before the header is written, so a pair that
-    fails leaves the sink empty.
+    fails leaves the sink empty.  The first genus outside 2..64 is rejected
+    as the range is read, so a long range costs no more than a short one.
     """
-    gs = sorted(set(g_range))
+    genera = set()
+    for g in g_range:
+        if not 2 <= g <= 64:
+            raise InputError(f"genus range must lie within 2..64, got genus {g}")
+        genera.add(g)
+    gs = sorted(genera)
     if not gs:
         raise InputError("empty genus range")
-    if gs[0] < 2 or gs[-1] > 64:
-        raise InputError(f"genus range must lie within 2..64, got {gs[0]}..{gs[-1]}")
     rows = []
     for pair in pairs:
         l_pq = edge_length(pair)
@@ -271,13 +261,3 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CURVE_COLUMNS)
     writer.writerows(rows)
-
-
-def first_genus_with_bounds(
-    pair: SchlafliPair, target: tuple[int, int], g_range: Iterable[int]
-) -> int | None:
-    """Smallest genus in the range whose (d_x, d_z) bounds hit the target."""
-    for g in sorted(set(g_range)):
-        if distance_bounds(pair, g) == target:
-            return g
-    return None

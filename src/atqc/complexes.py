@@ -299,11 +299,6 @@ class SurfaceComplex:
             "(consecutive edges must chain through shared vertices)"
         )
 
-    # -- derived structure ------------------------------------------------
-
-    def vertex_degrees(self) -> dict[int, int]:
-        return {v: len(ring) for v, ring in self.rotations.items()}
-
 
 def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
     """Dual surface: vertices and faces swap roles, edge ids are shared.

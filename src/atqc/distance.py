@@ -225,44 +225,6 @@ def oracle_distances(code: CssCode, ceiling: int = DEFAULT_ORACLE_CEILING) -> tu
     return d_x, d_z
 
 
-@dataclass(frozen=True)
-class FormulaComparison:
-    """Exact distances of a built hexagonal torus next to the ceiling formulas."""
-
-    label: str
-    formula: tuple[int, int]
-    computed: tuple[int, int]
-
-    @property
-    def matches(self) -> bool:
-        return self.formula == self.computed
-
-    @property
-    def finding(self) -> str | None:
-        if self.matches:
-            return None
-        return (
-            f"{self.label}: exact distances (d_x, d_z) = {self.computed} differ "
-            f"from the ceiling formulas {self.formula}; the formulas are lower "
-            "bounds here, not exact values"
-        )
-
-
-def compare_hex_distances(spec, ceiling: int = DEFAULT_ORACLE_CEILING) -> FormulaComparison:
-    """Surface any gap between a hex torus's exact distances and the formulas."""
-    from .catalog import toric_family_params
-    from .torus import build_hex_torus
-
-    params = toric_family_params(spec)
-    built = build_hex_torus(spec)
-    result = certified_distances(built, ceiling)
-    return FormulaComparison(
-        label=built.label,
-        formula=(params.d_x, params.d_z),
-        computed=(result.d_x, result.d_z),
-    )
-
-
 def certified_distances(c: SurfaceComplex, ceiling: int = DEFAULT_ORACLE_CEILING) -> DistanceResult:
     """Search distances, cross-checked against the oracle whenever n fits.
 

@@ -73,7 +73,12 @@ def edge_length(pair: SchlafliPair) -> float:
     """Edge length of a hyperbolic {p,q} tessellation."""
     _require_hyperbolic(pair)
     p, q = pair.p, pair.q
-    arg = (math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / math.sin(math.pi / q) ** 2
+    try:
+        arg = (math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / math.sin(math.pi / q) ** 2
+    except (OverflowError, ZeroDivisionError):  # p or q too large for a float
+        arg = math.inf
+    if arg == math.inf:
+        raise InputError(f"{pair} is too large for a double-precision edge length")
     return math.acosh(arg)
 
 
@@ -81,7 +86,10 @@ def fundamental_diameter(g: int) -> float:
     """Distance between opposite edge-pairings of the regular 4g-gon, g >= 2."""
     if g < 2:
         raise InputError(f"fundamental diameter needs genus >= 2, got {g}")
-    angle = math.pi / (4 * g)
+    try:
+        angle = math.pi / (4 * g)
+    except OverflowError:
+        raise InputError(f"genus {g} is too large for a double-precision diameter") from None
     return 2.0 * math.acosh(math.cos(angle) / math.sin(angle))
 
 
@@ -108,7 +116,9 @@ def guarded_ceil(ratio: float) -> int:
 
 
 def distance_bounds(pair: SchlafliPair, g: int) -> tuple[int, int]:
-    """(d_x lower bound, d_z lower bound) for {p,q} on genus g >= 2."""
+    """(d_x, d_z) by the paper's ceiling formula ceil(d_h / l) for {p,q} on genus g >= 2.
+
+    Not a lower bound on the exact distances: some codes fall below it."""
     _require_hyperbolic(pair)
     if g < 2:
         raise InputError(f"distance bounds need genus >= 2, got {g}")

@@ -80,7 +80,6 @@ class StabilizerReport:
     n: int
     k: int
     independent_generators: int
-    expected_generators: int
     checks: tuple[str, ...] = CHECKS
 
 
@@ -137,7 +136,6 @@ def verify_stabilizers(code: CssCode) -> StabilizerReport:
         n=code.n,
         k=code.k,
         independent_generators=independent,
-        expected_generators=expected,
     )
 
 

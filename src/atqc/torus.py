@@ -19,10 +19,9 @@ representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import SurfaceComplex
-from .errors import InputError, IntegrityError
+from .errors import InputError
 
 APOTHEM = "apothem"
 EDGE = "edge"
@@ -165,56 +164,3 @@ def build_hex_torus(spec: HexTorusSpec) -> SurfaceComplex:
         faces=faces,
         label=f"hex-torus-{spec.variant} scale={spec.scale}",
     )
-
-
-@dataclass(frozen=True)
-class HexCensusReport:
-    """Area bookkeeping (unit hexagon edge; areas as rational multiples of sqrt 3)."""
-
-    spec: HexTorusSpec
-    area_fundamental: Fraction
-    area_face: Fraction
-    area_dual_face: Fraction
-    predicted_faces: Fraction
-    predicted_dual_faces: Fraction
-    built_faces: int
-    built_vertices: int
-    built_edges: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.predicted_faces == self.built_faces
-            and self.predicted_dual_faces == self.built_vertices
-        )
-
-
-def hex_census_check(spec: HexTorusSpec) -> HexCensusReport:
-    """Cross-check area-ratio face counts against the built complex."""
-    area_face = Fraction(3, 2)       # regular hexagon, edge 1
-    area_dual_face = Fraction(3, 4)  # equilateral triangle, edge 2a = sqrt(3)
-    if spec.variant == APOTHEM:
-        area_fundamental = Fraction(3, 2) * spec.scale**2
-    else:
-        area_fundamental = Fraction(spec.scale**2, 2)
-    predicted_faces = area_fundamental / area_face
-    predicted_dual = area_fundamental / area_dual_face
-    built = build_hex_torus(spec)
-    report = HexCensusReport(
-        spec=spec,
-        area_fundamental=area_fundamental,
-        area_face=area_face,
-        area_dual_face=area_dual_face,
-        predicted_faces=predicted_faces,
-        predicted_dual_faces=predicted_dual,
-        built_faces=built.num_faces,
-        built_vertices=built.num_vertices,
-        built_edges=built.num_edges,
-    )
-    if not report.ok:
-        raise IntegrityError(
-            f"hex torus construction bug: area ratios predict "
-            f"{predicted_faces} faces / {predicted_dual} dual faces, built "
-            f"{built.num_faces} / {built.num_vertices}"
-        )
-    return report

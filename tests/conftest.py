@@ -1,3 +1,5 @@
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,10 @@ def corpus_complexes():
 @pytest.fixture(scope="session")
 def corpus(ingested_genus2):
     return corpus_complexes() + [ingested_genus2]
+
+
+def table1_value(formula, p, g):
+    """A printed Table 1 formula such as ``4p(g-1)/(3p-10)``, exactly, at (p, g)."""
+    expr = re.sub(r"(?<=[\dpg)])(?=[pg(])", "*", formula)  # 4p(g-1) -> 4*p*(g-1)
+    assert re.fullmatch(r"[\dpg()*/+-]+", expr), formula
+    return eval(expr, {"__builtins__": {}}, {"p": Fraction(p), "g": Fraction(g)})

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,15 +11,14 @@ from atqc.catalog import (
     emit_curves,
     emit_tables,
     family_params,
-    first_genus_with_bounds,
     fixed_pair_rate,
     pair_coefficients,
-    swap_dual,
     toric_family_params,
 )
 from atqc.errors import InputError
-from atqc.geometry import SchlafliPair, census
+from atqc.geometry import SchlafliPair, census, distance_bounds
 from atqc.torus import HexTorusSpec
+from conftest import table1_value
 
 FIXED_PAIR_RATES = {
     (7, 3): Fraction(1, 21),
@@ -64,14 +64,17 @@ def test_fixed_pair_rates(pq, rate):
 
 
 def test_table1_formulas_match_census():
+    # the formulas as `atqc table` prints them, evaluated at each member
     representatives = {3: [7, 8, 9, 10, 12], 4: [5, 6, 8], 5: [10], 6: [4, 5, 9]}
-    for q, fam in TABLE1_FAMILIES.items():
-        for p in representatives[q]:
+    rows = {r["pair"]: r for r in table_rows() if r["table"] == "families"}
+    for q, members in representatives.items():
+        row = rows[f"{{p,{q}}}"]
+        for p in members:
             for g in range(2, 11):
                 cen = census(SchlafliPair(p, q), g)
-                assert fam.n_f(p, g) == cen.n_f
-                assert fam.n_f_star(p, g) == cen.n_f_star
-                assert fam.n(p, g) == cen.n_edges
+                assert table1_value(row["n_f"], p, g) == cen.n_f
+                assert table1_value(row["n_f_star"], p, g) == cen.n_f_star
+                assert table1_value(row["n"], p, g) == cen.n_edges
 
 
 def test_rate_monotone_and_convergent():
@@ -83,18 +86,23 @@ def test_rate_monotone_and_convergent():
 
 
 def test_swap_dual_is_involution():
-    params = family_params(SchlafliPair(7, 3), 2)
-    swapped = swap_dual(params)
-    assert swapped.pair == SchlafliPair(3, 7)
-    assert (swapped.d_x, swapped.d_z) == (params.d_z, params.d_x)
-    assert (swapped.n, swapped.k, swapped.g) == (params.n, params.k, params.g)
-    assert swap_dual(swapped) == params
+    # the dual tessellation gives the same code with d_x and d_z traded
+    for p, q in [(7, 3), (8, 3), (5, 4), (10, 5), (6, 4), (12, 3)]:
+        pair = SchlafliPair(p, q)
+        for g in range(2, 20):
+            if not census(pair, g).feasible:
+                continue
+            params, swapped = family_params(pair, g), family_params(pair.dual, g)
+            assert swapped.pair.dual == pair
+            assert (swapped.d_x, swapped.d_z) == (params.d_z, params.d_x)
+            assert (swapped.n, swapped.k, swapped.rate) == (params.n, params.k, params.rate)
 
 
 def test_swap_dual_enforces_z_heavy_protection():
     params = family_params(SchlafliPair(7, 3), 2)
+    swapped = family_params(SchlafliPair(3, 7), 2)
     assert params.d_z < params.d_x
-    assert swap_dual(params).d_z > swap_dual(params).d_x
+    assert swapped.d_z > swapped.d_x
 
 
 def test_toric_family_params():
@@ -182,9 +190,8 @@ def test_p3_fixed_bound_scan():
     # {10,3} also achieves it at g = 5 (non-minimally), {12,3} not until 6
     targets = {7: 2, 8: 3, 9: 4, 10: 4, 12: 6}
     for p, g in targets.items():
-        assert first_genus_with_bounds(SchlafliPair(p, 3), (6, 3), range(2, 11)) == g
-    from atqc.geometry import distance_bounds
-
+        pair = SchlafliPair(p, 3)
+        assert next(h for h in range(2, 11) if distance_bounds(pair, h) == (6, 3)) == g
     assert distance_bounds(SchlafliPair(10, 3), 5) == (6, 3)
     assert distance_bounds(SchlafliPair(12, 3), 5) == (6, 2)
 
@@ -194,6 +201,20 @@ def test_curves_rejects_bad_range():
         emit_curves([SchlafliPair(7, 3)], range(0, 3), io.StringIO())
     with pytest.raises(InputError):
         emit_curves([SchlafliPair(7, 3)], [], io.StringIO())
+
+
+def test_curves_reject_a_long_range_as_they_read_it():
+    sink = io.StringIO()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="got genus 65"):
+            emit_curves([SchlafliPair(7, 3)], range(2, 3_000_000), sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert sink.getvalue() == ""
+
 
 TABLE2_N_COEFFICIENTS = {
     (7, 3): 42, (8, 3): 24, (9, 3): 18, (10, 3): 15, (12, 3): 12,

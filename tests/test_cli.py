@@ -246,6 +246,24 @@ def in_process(capsys, argv):
     return rc, captured.out, captured.err
 
 
+HUGE = str(10**400)  # past the largest double
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["params", "--p", "7", "--q", "3", "--g", HUGE], f"genus {HUGE} is too large"),
+        (["curves", "--pair", f"7,{HUGE}", "--g-from", "2", "--g-to", "3"], f"{{7,{HUGE}}} is too large"),
+    ],
+    ids=["params-g", "curves-q"],
+)
+def test_numbers_too_large_for_a_float_are_input_errors(capsys, argv, error):
+    rc, out, err = in_process(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {error}")
+    assert "Traceback" not in err
+
+
 def test_negative_oracle_ceiling_is_rejected(capsys):
     rc, out, err = in_process(capsys, ["distance", str(DATA), "--oracle-ceiling", "-1"])
     assert rc == 2 and out == ""

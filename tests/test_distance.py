@@ -1,15 +1,19 @@
+from dataclasses import dataclass
+
 import pytest
 from test_orbits import double_cover
 
+from atqc.catalog import toric_family_params
 from atqc.complexes import dual_complex
 from atqc.distance import (
+    DEFAULT_ORACLE_CEILING,
     certified_distances,
     code_distances,
-    compare_hex_distances,
     oracle_distances,
     shortest_nontrivial_cycle,
 )
 from atqc.errors import InputError
+from atqc.geometry import SchlafliPair, distance_bounds
 from atqc.homology import cocycle_basis, edges_to_mask, homology_signature, is_cycle
 from atqc.stabilizer import build_css
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
@@ -93,6 +97,16 @@ def test_oracle_certifies_the_covers_of_the_genus2_complex(ingested_genus2):
             assert oracle_distances(build_css(c), c.num_edges) == (r.d_x, r.d_z), c.label
 
 
+def test_a_certified_cover_falls_below_the_ceiling_formula(ingested_genus2):
+    # the formula is the paper's, not a lower bound: a genus-3 Z2 cover of the
+    # {8,3} complex is certified at (5, 2), under the formula's (6, 3)
+    cover = double_cover(ingested_genus2, cocycle_basis(ingested_genus2)[0], interleave=False)
+    assert (cover.genus, cover.num_edges) == (3, 48)
+    r = certified_distances(cover, cover.num_edges)
+    assert (r.d_x, r.d_z, r.method) == (5, 2, "both-agree")
+    assert distance_bounds(SchlafliPair(8, 3), 3) == (6, 3)
+
+
 def test_oracle_refuses_above_ceiling():
     code = build_css(build_square_torus(SquareTorusSpec(4)))  # n = 32
     with pytest.raises(InputError, match="ceiling"):
@@ -114,6 +128,41 @@ def test_certified_distances_rejects_a_negative_ceiling(ingested_genus2):
     # the oracle itself names the ceiling, not the input, as what is wrong
     with pytest.raises(InputError, match=r"^oracle ceiling must be >= 0, got -1$"):
         oracle_distances(build_css(ingested_genus2), -1)
+
+
+@dataclass(frozen=True)
+class FormulaComparison:
+    """Exact distances of a built hexagonal torus next to the ceiling formulas."""
+
+    label: str
+    formula: tuple[int, int]
+    computed: tuple[int, int]
+
+    @property
+    def matches(self) -> bool:
+        return self.formula == self.computed
+
+    @property
+    def finding(self) -> str | None:
+        if self.matches:
+            return None
+        return (
+            f"{self.label}: exact distances (d_x, d_z) = {self.computed} differ "
+            f"from the ceiling formulas {self.formula}; the formulas are lower "
+            "bounds here, not exact values"
+        )
+
+
+def compare_hex_distances(spec, ceiling: int = DEFAULT_ORACLE_CEILING) -> FormulaComparison:
+    """Surface any gap between a hex torus's exact distances and the formulas."""
+    params = toric_family_params(spec)
+    built = build_hex_torus(spec)
+    result = certified_distances(built, ceiling)
+    return FormulaComparison(
+        label=built.label,
+        formula=(params.d_x, params.d_z),
+        computed=(result.d_x, result.d_z),
+    )
 
 
 def test_ceiling_formula_matches_at_small_apothem_scales():
@@ -145,8 +194,6 @@ def test_ceiling_formula_finding_at_edge_scales():
 
 
 def test_exact_distances_dominate_hyperbolic_bounds(ingested_genus2):
-    from atqc.geometry import SchlafliPair, distance_bounds
-
     r = code_distances(ingested_genus2)
     bx, bz = distance_bounds(SchlafliPair(8, 3), 2)
     assert r.d_x >= bx and r.d_z >= bz

@@ -8,7 +8,7 @@ import pytest
 from gluings import random_gluing
 from test_irregular import random_merges
 
-from atqc.binmat import BinaryMatrix, RowBasis, in_row_space, parity
+from atqc.binmat import BinaryMatrix, RowBasis, parity
 from atqc.complexes import complex_from_dict, complex_to_dict, dual_complex, load_complex
 from atqc.errors import IntegrityError, InputError
 from atqc.homology import (
@@ -223,14 +223,15 @@ def test_logical_bases(corpus):
         lx, lz = cycle_cocycle_bases(c)
         assert len(lx) == len(lz) == 2 * c.genus
         basis = cocycle_basis(c)
+        x_checks, z_checks = RowBasis(code.hx.data), RowBasis(code.hz.data)
         for x in lx:
             # commutes with Z checks, outside the X-check row space
             assert all(parity(x & row) == 0 for row in code.hz.data)
-            assert not in_row_space(code.hx, x)
+            assert not x_checks.contains(x)
             assert homology_signature(c, x, basis) != 0
         for z in lz:
             assert all(parity(z & row) == 0 for row in code.hx.data)
-            assert not in_row_space(code.hz, z)
+            assert not z_checks.contains(z)
         for i, x in enumerate(lx):
             for j, z in enumerate(lz):
                 assert parity(x & z) == (1 if i == j else 0)
@@ -271,7 +272,7 @@ VALID_ALIST = ["3 2", "2 2", "1 2 1", "2 2", "1 0", "1 2", "2 0", "1 2", "2 3"]
 
 def test_read_alist_hand_written():
     m = read_alist(io.StringIO("\n".join(VALID_ALIST)))
-    assert m == BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    assert m == BinaryMatrix(2, 3, [0b011, 0b110])
 
 
 @pytest.mark.parametrize(
@@ -343,7 +344,7 @@ def test_json_export_carries_metadata(ingested_genus2):
     doc = json.loads(buf.getvalue())
     assert doc["n"] == 24 and doc["k"] == 4 and doc["genus"] == 2
     assert doc["label"] == ingested_genus2.label
-    assert doc["hx"] == code.hx.to_lists() and doc["hz"] == code.hz.to_lists()
+    assert doc["hx"] == dense(code.hx) and doc["hz"] == dense(code.hz)
 
 
 def test_export_rejects_unknown_format():
@@ -353,6 +354,11 @@ def test_export_rejects_unknown_format():
 
 
 # -- byte identity against the per-bit writers ------------------------------
+
+
+def dense(m: BinaryMatrix) -> list[list[int]]:
+    """The 0/1 rows of m, bit j of a row word in column j."""
+    return [[(w >> j) & 1 for j in range(m.cols)] for w in m.data]
 
 
 def reference_dense_text(m: BinaryMatrix) -> str:
@@ -367,8 +373,8 @@ def reference_json(code: CssCode) -> str:
         "n": code.n,
         "k": code.k,
         "genus": code.genus,
-        "hx": code.hx.to_lists(),
-        "hz": code.hz.to_lists(),
+        "hx": dense(code.hx),
+        "hz": dense(code.hz),
         "label": code.source_label,
     }
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"

@@ -91,7 +91,7 @@ def test_twisted_grid_is_rejected(side, tmp_path, capsys):
 def test_untwisted_grid_is_accepted(side):
     c = complex_from_dict(twisted_grid_doc(side, twist=False))
     assert c.num_vertices == c.num_faces == side**2 and c.genus == 1
-    assert set(c.vertex_degrees().values()) == {4}
+    assert {len(ring) for ring in c.rotations.values()} == {4}
 
 
 def rotate_to_min(ring):
@@ -189,7 +189,6 @@ def test_gluings_are_accepted_with_their_rotations(gluings):
         assert {v: rotate_to_min(r) for v, r in c.rotations.items()} == {
             v: rotate_to_min(r) for v, r in rings.items()
         }, doc["label"]
-        assert c.vertex_degrees() == {v: len(r) for v, r in rings.items()}
 
 
 def test_gluings_dual_of_dual_and_roundtrip(gluings):

@@ -1,15 +1,14 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from atqc.errors import InputError
-from atqc.torus import (
-    HexTorusSpec,
-    SquareTorusSpec,
-    build_hex_torus,
-    build_square_torus,
-    hex_census_check,
-)
+from atqc.errors import IntegrityError, InputError
+from atqc.torus import APOTHEM, HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+
+
+def degrees(c):
+    return {len(ring) for ring in c.rotations.values()}
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
@@ -17,7 +16,7 @@ def test_square_torus_counts(l):
     c = build_square_torus(SquareTorusSpec(l))
     assert (c.num_vertices, c.num_edges, c.num_faces) == (l * l, 2 * l * l, l * l)
     assert c.euler_characteristic == 0
-    assert set(c.vertex_degrees().values()) == {4}
+    assert degrees(c) == {4}
     assert all(len(cy) == 4 for cy in c.faces.values())
     assert c.degenerate_faces == ()
 
@@ -32,7 +31,7 @@ def test_hex_apothem_counts(xi):
     c = build_hex_torus(HexTorusSpec("apothem", xi))
     assert (c.num_vertices, c.num_edges, c.num_faces) == (2 * xi * xi, 3 * xi * xi, xi * xi)
     assert c.euler_characteristic == 0
-    assert set(c.vertex_degrees().values()) == {3}
+    assert degrees(c) == {3}
     assert all(len(cy) == 6 for cy in c.faces.values())
 
 
@@ -44,7 +43,7 @@ def test_hex_edge_counts(lam):
         lam * lam,
         lam * lam // 3,
     )
-    assert set(c.vertex_degrees().values()) == {3}
+    assert degrees(c) == {3}
     assert all(len(cy) == 6 for cy in c.faces.values())
 
 
@@ -73,6 +72,59 @@ def test_unknown_variant_rejected():
         HexTorusSpec("radius", 2)
     with pytest.raises(InputError):
         HexTorusSpec("apothem", 0)
+
+
+@dataclass(frozen=True)
+class HexCensusReport:
+    """Area bookkeeping (unit hexagon edge; areas as rational multiples of sqrt 3)."""
+
+    spec: HexTorusSpec
+    area_fundamental: Fraction
+    area_face: Fraction
+    area_dual_face: Fraction
+    predicted_faces: Fraction
+    predicted_dual_faces: Fraction
+    built_faces: int
+    built_vertices: int
+    built_edges: int
+
+    @property
+    def ok(self) -> bool:
+        return (
+            self.predicted_faces == self.built_faces
+            and self.predicted_dual_faces == self.built_vertices
+        )
+
+
+def hex_census_check(spec: HexTorusSpec) -> HexCensusReport:
+    """Cross-check area-ratio face counts against the built complex."""
+    area_face = Fraction(3, 2)       # regular hexagon, edge 1
+    area_dual_face = Fraction(3, 4)  # equilateral triangle, edge 2a = sqrt(3)
+    if spec.variant == APOTHEM:
+        area_fundamental = Fraction(3, 2) * spec.scale**2
+    else:
+        area_fundamental = Fraction(spec.scale**2, 2)
+    predicted_faces = area_fundamental / area_face
+    predicted_dual = area_fundamental / area_dual_face
+    built = build_hex_torus(spec)
+    report = HexCensusReport(
+        spec=spec,
+        area_fundamental=area_fundamental,
+        area_face=area_face,
+        area_dual_face=area_dual_face,
+        predicted_faces=predicted_faces,
+        predicted_dual_faces=predicted_dual,
+        built_faces=built.num_faces,
+        built_vertices=built.num_vertices,
+        built_edges=built.num_edges,
+    )
+    if not report.ok:
+        raise IntegrityError(
+            f"hex torus construction bug: area ratios predict "
+            f"{predicted_faces} faces / {predicted_dual} dual faces, built "
+            f"{built.num_faces} / {built.num_vertices}"
+        )
+    return report
 
 
 @pytest.mark.parametrize("spec", [
