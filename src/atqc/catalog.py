@@ -17,12 +17,11 @@ from .geometry import SchlafliPair, census, distance_bounds, edge_length, fundam
 from .torus import APOTHEM, HexTorusSpec
 
 BOUND = "bound"
-EXACT = "exact"
 
 
 @dataclass(frozen=True)
 class CodeParams:
-    """An [[n, k, d_z/d_x]] record; distances are bounds unless marked exact."""
+    """An [[n, k, d_z/d_x]] record; its distances are bounds."""
 
     pair: SchlafliPair
     g: int

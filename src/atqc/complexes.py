@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import compress, count
 from typing import IO, Iterable, Mapping
 
@@ -94,9 +93,8 @@ class SurfaceComplex:
         self.genus = int(genus)
         self.label = str(label)
         self.vertices = tuple(vertices)
-        ints = partial(map, int)
-        self.edges = dict(zip(ints(edges), map(tuple, map(ints, edges.values()))))
-        self.faces = dict(zip(ints(faces), map(tuple, map(ints, faces.values()))))
+        self.edges = dict(zip(edges, map(tuple, edges.values())))
+        self.faces = dict(zip(faces, map(tuple, faces.values())))
         self._validate()
 
     # -- basic accessors ---------------------------------------------------

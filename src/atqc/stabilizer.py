@@ -75,14 +75,6 @@ def build_css(c: SurfaceComplex) -> CssCode:
 CHECKS = ("commutation", "face_product", "vertex_product", "edge_incidence", "generator_count")
 
 
-@dataclass(frozen=True)
-class StabilizerReport:
-    n: int
-    k: int
-    independent_generators: int
-    checks: tuple[str, ...] = CHECKS
-
-
 def incidence_rank(m: BinaryMatrix, edge_ids: tuple[int, ...]) -> int:
     """GF(2) rank of a matrix whose columns have weight 0 or 2, the incidence
     matrix of a multigraph on its rows: rows minus components (zero rows count),
@@ -109,8 +101,9 @@ def incidence_rank(m: BinaryMatrix, edge_ids: tuple[int, ...]) -> int:
     return rank
 
 
-def verify_stabilizers(code: CssCode) -> StabilizerReport:
-    """Check the stabilizer algebra; any failure is a hard error with a witness."""
+def verify_stabilizers(code: CssCode) -> int:
+    """Run the CHECKS in order and return the number of independent generators;
+    any failure is a hard error with a witness."""
     for i, row in enumerate((code.hx @ code.hz.transpose()).data):
         if row:
             j = (row & -row).bit_length() - 1
@@ -132,11 +125,7 @@ def verify_stabilizers(code: CssCode) -> StabilizerReport:
         raise IntegrityError(
             f"n - {independent} generators = {code.n - independent}, not k = {code.k}"
         )
-    return StabilizerReport(
-        n=code.n,
-        k=code.k,
-        independent_generators=independent,
-    )
+    return independent
 
 
 # -- parity-check serialization ---------------------------------------------

@@ -12,9 +12,16 @@ fundamental domain (interior angle pi/3):
 
 Lattice convention: hexagon faces are indexed by axial coordinates (i, j)
 over the basis u1 = sqrt(3)*l at +30 degrees, u2 = sqrt(3)*l at -30
-degrees.  Each face owns two vertices A(i,j), B(i,j) and three edges; the
-wraparound identification reduces (i, j) to a canonical coset
-representative.
+degrees.  The wrap lattice is spanned by (a, 0) and (b, c) in Hermite
+normal form: (xi, 0, xi) for the apothem scaling and (3m, m, m) for the
+edge scaling, lambda = 3m.  Its cells are 0 <= i < a, 0 <= j < c, and
+(i, j) is numbered ((i - (j // c) * b) mod a) * c + j mod c.  Each face
+owns two vertices A, B and three edges, numbered from its cell.
+
+Every builder refuses more than MAX_BUILD_EDGES edges before it allocates
+anything: each face and vertex-star mask is an E-bit integer, so memory
+grows as E * (V + F), and the square torus l = 256 already needs more
+than a gigabyte.
 """
 from __future__ import annotations
 
@@ -25,6 +32,7 @@ from .errors import InputError
 
 APOTHEM = "apothem"
 EDGE = "edge"
+MAX_BUILD_EDGES = 65_536
 
 
 @dataclass(frozen=True)
@@ -57,60 +65,34 @@ class HexTorusSpec:
             )
 
 
+def _check_edges(n: int, what: str) -> None:
+    if n > MAX_BUILD_EDGES:
+        raise InputError(f"{what} has n = {n} edges, above the build limit of {MAX_BUILD_EDGES}")
+
+
 def build_square_torus(spec: SquareTorusSpec) -> SurfaceComplex:
     """Periodic l x l grid: l^2 vertices, 2l^2 edges, l^2 square faces."""
     l = spec.side
+    _check_edges(2 * l * l, f"square torus l={l}")
 
-    def vid(i, j):
-        return (j % l) * l + (i % l)
+    def cell(i, j):  # vertex (i, j), the face above it and edge (i, j) -- (i+1, j)
+        return (j % l) * l + i % l
 
-    def h_edge(i, j):  # (i,j) -- (i+1,j)
-        return (j % l) * l + (i % l)
-
-    def v_edge(i, j):  # (i,j) -- (i,j+1)
-        return l * l + (j % l) * l + (i % l)
-
-    edges = {}
+    n = l * l  # edge n + cell(i, j) is (i, j) -- (i, j+1)
+    edges, faces = {}, {}
     for j in range(l):
         for i in range(l):
-            edges[h_edge(i, j)] = (vid(i, j), vid(i + 1, j))
-            edges[v_edge(i, j)] = (vid(i, j), vid(i, j + 1))
-    faces = {}
-    for j in range(l):
-        for i in range(l):
-            faces[j * l + i] = (h_edge(i, j), v_edge(i + 1, j), h_edge(i, j + 1), v_edge(i, j))
+            x, right, up = cell(i, j), cell(i + 1, j), cell(i, j + 1)
+            edges[x] = (x, right)
+            edges[n + x] = (x, up)
+            faces[x] = (x, n + right, up, n + x)
     return SurfaceComplex(
         genus=1,
-        vertices=range(l * l),
+        vertices=range(n),
         edges=edges,
         faces=faces,
         label=f"square-torus l={l}",
     )
-
-
-def _hex_canonical(spec: HexTorusSpec):
-    """Return (face count, canonical-coset key function) for the wrap lattice."""
-    s = spec.scale
-    if spec.variant == APOTHEM:
-        # wrap lattice: xi*u1, xi*u2
-        def key(i, j):
-            return (i % s, j % s)
-
-        def linear(k):
-            return k[0] * s + k[1]
-
-        return s * s, key, linear
-    # edge-scaled, lambda = 3m: wrap lattice generated by (m, m) and (3m, 0)
-    m = s // 3
-
-    def key(i, j):
-        jq, jr = divmod(j, m)
-        return ((i - m * jq) % (3 * m), jr)
-
-    def linear(k):
-        return k[0] * m + k[1]
-
-    return 3 * m * m, key, linear
 
 
 def build_hex_torus(spec: HexTorusSpec) -> SurfaceComplex:
@@ -119,47 +101,28 @@ def build_hex_torus(spec: HexTorusSpec) -> SurfaceComplex:
     Scales below xi = 2 produce faces that traverse an edge twice; such
     builds are flagged via ``degenerate_faces``, not rejected.
     """
-    n_f, key, linear = _hex_canonical(spec)
+    s = spec.scale
+    # the wrap lattice spanned by (a, 0) and (b, c): xi*u1, xi*u2, or (3m, 0), (m, m)
+    a, b, c = (s, 0, s) if spec.variant == APOTHEM else (s, s // 3, s // 3)
+    _check_edges(3 * a * c, f"hex torus {spec.variant}={s}")
 
-    def A(i, j):
-        return 2 * linear(key(i, j))
+    def cell(i, j):
+        return (i - j // c * b) % a * c + j % c
 
-    def B(i, j):
-        return 2 * linear(key(i, j)) + 1
-
-    def e0(i, j):  # A(i,j) -- B(i,j)
-        return 3 * linear(key(i, j))
-
-    def e1(i, j):  # A(i,j) -- B(i-1,j)
-        return 3 * linear(key(i, j)) + 1
-
-    def e2(i, j):  # A(i,j) -- B(i,j-1)
-        return 3 * linear(key(i, j)) + 2
-
-    edges = {}
-    faces = {}
-    seen = set()
-    for i in range(3 * spec.scale):
-        for j in range(3 * spec.scale):
-            k = key(i, j)
-            if k in seen:
-                continue
-            seen.add(k)
-            edges[e0(i, j)] = (A(i, j), B(i, j))
-            edges[e1(i, j)] = (A(i, j), B(i - 1, j))
-            edges[e2(i, j)] = (A(i, j), B(i, j - 1))
-            faces[linear(k)] = (
-                e0(i, j),
-                e1(i + 1, j),
-                e2(i + 1, j),
-                e0(i + 1, j - 1),
-                e1(i + 1, j - 1),
-                e2(i, j),
-            )
-    assert len(faces) == n_f
+    # face x = cell(i, j) owns vertices A = 2x, B = 2x+1 and edges 3x (A -- B),
+    # 3x+1 (A -- B of (i-1, j)) and 3x+2 (A -- B of (i, j-1)); its other three
+    # edges belong to its neighbours at +30 degrees (i+1, j) and above (i+1, j-1)
+    edges, faces = {}, {}
+    for i in range(a):
+        for j in range(c):
+            x, side, top = cell(i, j), cell(i + 1, j), cell(i + 1, j - 1)
+            edges[3 * x] = (2 * x, 2 * x + 1)
+            edges[3 * x + 1] = (2 * x, 2 * cell(i - 1, j) + 1)
+            edges[3 * x + 2] = (2 * x, 2 * cell(i, j - 1) + 1)
+            faces[x] = (3 * x, 3 * side + 1, 3 * side + 2, 3 * top, 3 * top + 1, 3 * x + 2)
     return SurfaceComplex(
         genus=1,
-        vertices=range(2 * n_f),
+        vertices=range(2 * a * c),
         edges=edges,
         faces=faces,
         label=f"hex-torus-{spec.variant} scale={spec.scale}",

@@ -270,6 +270,13 @@ def test_negative_oracle_ceiling_is_rejected(capsys):
     assert "oracle ceiling must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("flag", ["--square", "--hex-apothem", "--hex-edge"])
+def test_build_past_the_edge_limit_is_an_input_error(capsys, flag):
+    rc, out, err = in_process(capsys, ["build", flag, "3000"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "above the build limit of 65536" in err
+
+
 def test_the_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 

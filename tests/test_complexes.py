@@ -36,6 +36,12 @@ def test_normalize_cycle():
     assert normalize_cycle(()) == ()
 
 
+def test_constructor_keeps_the_ids_it_is_given():
+    c = SurfaceComplex(1, [0], {0: (0, 0), 1.9: (0, 0)}, {0: (0, 1.9, 0, 1.9)})
+    assert list(c.edges) == [0, 1.9] and c.faces == {0: (0, 1.9, 0, 1.9)}
+    assert c.index.edge_ids == (0, 1.9)
+
+
 def test_roundtrip_square_torus():
     c = build_square_torus(SquareTorusSpec(3))
     back = roundtrip(c)

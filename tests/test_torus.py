@@ -1,10 +1,20 @@
+import hashlib
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+from atqc.complexes import save_complex
 from atqc.errors import IntegrityError, InputError
-from atqc.torus import APOTHEM, HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+from atqc.torus import (
+    APOTHEM,
+    HexTorusSpec,
+    SquareTorusSpec,
+    _check_edges,
+    build_hex_torus,
+    build_square_torus,
+)
 
 
 def degrees(c):
@@ -180,3 +190,59 @@ def test_regular_incidence_identity():
         (build_hex_torus(HexTorusSpec("edge", 6)), 6, 3),
     ]:
         assert 2 * c.num_edges == c.num_faces * p == c.num_vertices * q
+
+
+# SHA-256 of ``save_complex`` output: pins every vertex, edge and face id the
+# builders hand out (the reflected dual in test_surface.py names edge ids)
+SAVED_SHA256 = [
+    (SquareTorusSpec(2), "b1ec28c97f85ecf0340e0ae68c5c2619124363e5704fdbf46ceb7be00a85656e"),
+    (SquareTorusSpec(3), "78757852373066ba0d27bc1076305b659993536396c210459aab9ff55a63c412"),
+    (SquareTorusSpec(4), "7f78c148d086fe69857132638c26539ee83e51c8739c6ac2f55f5ed6c4c93a5b"),
+    (SquareTorusSpec(5), "4536d7f692faf1f9f0b4f1a6b3a73ae3832ec3294d590ceebc194ccd5b9c8d8d"),
+    (SquareTorusSpec(16), "919b7a7c9af13f294bb8010eb62ad6601616732371c1e67060c1c23ece92962e"),
+    (SquareTorusSpec(48), "c052803edc0c4aea5d07ad8462cfc4455bec602fb218485e919c6665931f7315"),
+    (HexTorusSpec("apothem", 1), "3a1a7c2b8fa38850fa4e0f92c705b3a28dcfdc40de12908ce57d20233bc05a4e"),
+    (HexTorusSpec("apothem", 2), "041e877b4d44328ac275191ca1a66a6b113838b53872328df912a264d566e9a4"),
+    (HexTorusSpec("apothem", 3), "e6d63bfd59f19562dbddd9ab637b7b16fb87e9365f3c7d7eadadb22f4ec55302"),
+    (HexTorusSpec("apothem", 4), "5792360097990aacd168be495a77708856aa47682bf4dec9569136d94993b095"),
+    (HexTorusSpec("apothem", 16), "d054072524441d9fb9b94f4a2451e2b785eb46613aa1b6ea6f17883a7b88eed8"),
+    (HexTorusSpec("edge", 3), "dc9cf9050c91a23f9db61a31b92a595dcf1d3e0268e9aeaef40190318c828ff1"),
+    (HexTorusSpec("edge", 6), "38b4efe401063ce1c157146e31e5696f6f8c0b7bfcc9808718a76a65d4022b43"),
+    (HexTorusSpec("edge", 9), "dd14c4ca862b202921b9cd5b415c88573fa96130014d51aa4d3e45d0c8b3f17f"),
+    (HexTorusSpec("edge", 24), "d06c0ec3e6a1efb48b774881ac753f47ea4b7718d41a1d82f24b5185dc86dc25"),
+]
+
+
+def spec_id(value):
+    if isinstance(value, SquareTorusSpec):
+        return f"square-{value.side}"
+    return f"{value.variant}-{value.scale}" if isinstance(value, HexTorusSpec) else ""
+
+
+@pytest.mark.parametrize("spec,digest", SAVED_SHA256, ids=spec_id)
+def test_builders_number_ids_as_pinned(spec, digest):
+    build = build_square_torus if isinstance(spec, SquareTorusSpec) else build_hex_torus
+    buf = io.StringIO()
+    save_complex(build(spec), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("largest,past", [
+    (2 * 181 * 181, 2 * 182 * 182),  # square l = 181, 182
+    (3 * 147 * 147, 3 * 148 * 148),  # apothem xi = 147, 148
+    (255 * 255, 258 * 258),          # edge lambda = 255, 258
+], ids=["square", "apothem", "edge"])
+def test_edge_limit_admits_the_largest_builds(largest, past):
+    _check_edges(largest, "largest")
+    with pytest.raises(InputError, match=f"past has n = {past} edges, above the build limit of 65536"):
+        _check_edges(past, "past")
+
+
+@pytest.mark.parametrize("build,spec,n", [
+    (build_square_torus, SquareTorusSpec(182), 2 * 182 * 182),
+    (build_hex_torus, HexTorusSpec("apothem", 148), 3 * 148 * 148),
+    (build_hex_torus, HexTorusSpec("edge", 258), 258 * 258),
+], ids=["square", "apothem", "edge"])
+def test_builders_refuse_past_the_edge_limit(build, spec, n):
+    with pytest.raises(InputError, match=f"n = {n} edges, above the build limit of 65536"):
+        build(spec)
