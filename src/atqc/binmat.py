@@ -48,10 +48,10 @@ class BinaryMatrix:
         out = [0] * self.cols
         for i, w in enumerate(self.data):
             bit = 1 << i
-            while w:
-                j = (w & -w).bit_length() - 1
+            while w:  # top bit first: clearing it shortens w
+                j = w.bit_length() - 1
                 out[j] |= bit
-                w &= w - 1
+                w ^= 1 << j
         return BinaryMatrix(self.cols, self.rows, out)
 
     def __matmul__(self, other: "BinaryMatrix") -> "BinaryMatrix":
@@ -61,10 +61,10 @@ class BinaryMatrix:
         for w in self.data:
             acc = 0
             t = w
-            while t:
-                j = (t & -t).bit_length() - 1
+            while t:  # top bit first, as in transpose
+                j = t.bit_length() - 1
                 acc ^= other.data[j]
-                t &= t - 1
+                t ^= 1 << j
             out.append(acc)
         return BinaryMatrix(self.rows, other.cols, out)
 

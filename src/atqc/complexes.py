@@ -79,8 +79,24 @@ class ComplexIndex:
     orbits: tuple | None = None
 
 
+def _as_id(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ComplexError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _sorted_ids(ids, what: str) -> tuple:
+    try:
+        return tuple(sorted(ids))
+    except TypeError:
+        raise ComplexError(f"{what} ids do not sort together") from None
+
+
 class SurfaceComplex:
-    """Immutable combinatorial closed surface of a given genus."""
+    """Immutable combinatorial closed surface of a given genus.
+
+    The constructor is the one gate for the genus, the label and each edge's
+    two ends; ids of any type are kept as given if they sort together."""
 
     def __init__(
         self,
@@ -90,8 +106,9 @@ class SurfaceComplex:
         faces: Mapping[int, Iterable[int]],
         label: str = "",
     ):
-        self.genus = int(genus)
-        self.label = str(label)
+        if not isinstance(label, str):
+            raise ComplexError("label must be a string")
+        self.genus, self.label = _as_id(genus, "genus"), label
         self.vertices = tuple(vertices)
         self.edges = dict(zip(edges, map(tuple, edges.values())))
         self.faces = dict(zip(faces, map(tuple, faces.values())))
@@ -126,7 +143,10 @@ class SurfaceComplex:
     def _validate(self) -> None:
         if self.genus < 1:
             raise ComplexError(f"genus must be >= 1, got {self.genus}")
-        vertex_ids, edge_ids = tuple(sorted(self.vertices)), tuple(sorted(self.edges))
+        if set(map(len, self.edges.values())) - {2}:
+            bad = next(e for e, ends in self.edges.items() if len(ends) != 2)
+            raise ComplexError(f"edge {bad} must have exactly two ends")
+        vertex_ids, edge_ids = _sorted_ids(self.vertices, "vertex"), _sorted_ids(self.edges, "edge")
         vpos, bit = dict(zip(vertex_ids, count())), dict(zip(edge_ids, count()))
         if len(vpos) != len(vertex_ids):
             raise ComplexError("duplicate vertex ids")
@@ -137,7 +157,7 @@ class SurfaceComplex:
             if u != v:
                 stars[vpos[u]] ^= 1 << bit[e]
                 stars[vpos[v]] ^= 1 << bit[e]
-        face_ids = tuple(sorted(self.faces))
+        face_ids = _sorted_ids(self.faces, "face")
         face_masks, first, face_of, edge_of = [], [0], [], []
         for i, f in enumerate(face_ids):
             cyc = self.faces[f]
@@ -332,12 +352,6 @@ def complex_to_dict(c: SurfaceComplex) -> dict:
     }
 
 
-def _as_id(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ComplexError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _as_ids(values: list, what: str) -> list:
     """One type pass over an id list; the per-id scan runs only to name a bad id."""
     if not set(map(type, values)) <= {int}:
@@ -354,22 +368,19 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
     missing = _TOP_KEYS - set(doc)
     if missing:
         raise ComplexError(f"missing key {min(missing)!r} in complex document")
-    if not isinstance(doc["label"], str):
-        raise ComplexError("label must be a string")
     for key in ("vertices", "edges", "faces"):
         if not isinstance(doc[key], list):
             raise ComplexError(f"{key} must be a list")
-    genus = _as_id(doc["genus"], "genus")
     vertices = _as_ids(doc["vertices"], "vertex id")
     edges = {}
     for item in doc["edges"]:
         if not isinstance(item, dict) or set(item) != {"id", "ends"}:
             raise ComplexError("edge entries must have exactly the keys 'id' and 'ends'")
-        if not isinstance(item["ends"], list) or len(item["ends"]) != 2:
-            raise ComplexError(f"edge {item['id']} must have exactly two ends")
         eid = _as_id(item["id"], "edge id")
         if eid in edges:
             raise ComplexError(f"duplicate edge id {eid}")
+        if not isinstance(item["ends"], list):
+            raise ComplexError(f"edge {eid} must have exactly two ends")
         edges[eid] = _as_ids(item["ends"], "edge end")
     faces = {}
     for item in doc["faces"]:
@@ -383,13 +394,7 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
         if not isinstance(item["edge_cycle"], list):
             raise ComplexError(f"face {fid} edge_cycle must be a list")
         faces[fid] = _as_ids(item["edge_cycle"], "face edge")
-    return SurfaceComplex(
-        genus=genus,
-        vertices=vertices,
-        edges=edges,
-        faces=faces,
-        label=doc["label"],
-    )
+    return SurfaceComplex(doc["genus"], vertices, edges, faces, doc["label"])
 
 
 def save_complex(c: SurfaceComplex, sink: IO[str]) -> None:

@@ -55,12 +55,11 @@ from .binmat import RowBasis
 from .complexes import SurfaceComplex
 from .errors import DiscrepancyError, InputError, IntegrityError
 from .homology import cocycle_basis, homology_signature, is_cycle, mask_to_edges
-from .stabilizer import CssCode, build_css
+from .stabilizer import CssCode, _find, build_css
 
 DEFAULT_ORACLE_CEILING = 30
 
 SEARCH = "search"
-ORACLE = "oracle"
 BOTH_AGREE = "both-agree"
 
 
@@ -89,12 +88,6 @@ def _extend(alpha: list[int], phi: list[int], d0: int, d: int) -> list[int] | No
         if psi[x] != y:
             return None
     return psi
-
-
-def _find(up: list[int], i: int) -> int:
-    while up[i] != i:
-        up[i] = i = up[up[i]]
-    return i
 
 
 def map_orbits(c: SurfaceComplex) -> tuple[list[list[int]], list[int], list[int]]:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .binmat import BinaryMatrix, parity, support
 from .complexes import SurfaceComplex
@@ -68,15 +68,12 @@ class ChainComplexZ2:
     """Boundary operators d2: C2 -> C1 and d1: C1 -> C0 over Z2.
 
     d2 is |E| x |F| (column f = boundary of face f); d1 is |V| x |E|
-    (column e = endpoints of e, zero for a self-loop).  Row/column order
-    follows the sorted id tuples carried alongside.
+    (column e = endpoints of e, zero for a self-loop).  Rows and columns
+    follow the index's dense order.
     """
 
     d2: BinaryMatrix
     d1: BinaryMatrix
-    vertex_ids: tuple[int, ...]
-    edge_ids: tuple[int, ...]
-    face_ids: tuple[int, ...]
 
 
 def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
@@ -87,9 +84,7 @@ def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
     d1 = BinaryMatrix(len(ix.vertex_ids), n, ix.star_masks)
     if not (d1 @ d2).is_zero():
         raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
-    return ChainComplexZ2(
-        d2=d2, d1=d1, vertex_ids=ix.vertex_ids, edge_ids=ix.edge_ids, face_ids=ix.face_ids
-    )
+    return ChainComplexZ2(d2=d2, d1=d1)
 
 
 def betti1(c: SurfaceComplex) -> int:
@@ -204,16 +199,12 @@ def is_cycle(c: SurfaceComplex, mask: int, dual: bool = False) -> bool:
     return all(parity(m & mask) == 0 for m in closers)
 
 
-def homology_signature(
-    c: SurfaceComplex, cycle: int, basis: Sequence[int] | None = None, dual: bool = False
-) -> int:
+def homology_signature(c: SurfaceComplex, cycle: int, dual: bool = False) -> int:
     """Pairing bits of a cycle against the cocycle basis; 0 iff a boundary."""
     if not is_cycle(c, cycle, dual):
         raise InputError("edge set is not a cycle (odd incidence at a vertex, or a face if dual)")
-    if basis is None:
-        basis = cocycle_basis(c, dual)
     sig = 0
-    for i, coc in enumerate(basis):
+    for i, coc in enumerate(cocycle_basis(c, dual)):
         if parity(cycle & coc):
             sig |= 1 << i
     return sig

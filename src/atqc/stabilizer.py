@@ -75,36 +75,35 @@ def build_css(c: SurfaceComplex) -> CssCode:
 CHECKS = ("commutation", "face_product", "vertex_product", "edge_incidence", "generator_count")
 
 
-def incidence_rank(m: BinaryMatrix, edge_ids: tuple[int, ...]) -> int:
-    """GF(2) rank of a matrix whose columns have weight 0 or 2, the incidence
-    matrix of a multigraph on its rows: rows minus components (zero rows count),
-    since the only relations are the component sums.  A heavier column raises."""
-    # end[j] is -1 until column j meets a row, then that row, then -2 once it has two
-    root, end = list(range(m.rows)), [-1] * m.cols
-    rank = 0
-    for i, word in enumerate(m.data):
-        while word:
-            j = (word & -word).bit_length() - 1
-            word &= word - 1
-            a = end[j]
-            if a == -1:
-                end[j] = i
-                continue
-            if a == -2:
-                weight = sum((w >> j) & 1 for w in m.data)
-                raise IntegrityError(f"edge {edge_ids[j]} is in {weight} checks, expected 0 or 2")
-            end[j] = -2
-            while root[a] != a:
-                root[a] = a = root[root[a]]
-            root[a] = i  # only the current row is ever linked to, so row i is a root
-            rank += a != i
+def _find(up: list[int], i: int) -> int:
+    while up[i] != i:
+        up[i] = i = up[up[i]]
+    return i
+
+
+def incidence_rank(columns: BinaryMatrix, edge_ids: tuple[int, ...]) -> int:
+    """GF(2) rank of a matrix given as its transpose ``columns``, one word per
+    column.  Columns of weight 0 or 2 make it the incidence matrix of a
+    multigraph on its rows: rows minus components (zero rows count), since the
+    only relations are the component sums.  A heavier column raises."""
+    up, rank = list(range(columns.cols)), 0
+    for e, word in enumerate(columns.data):
+        weight = word.bit_count()
+        if weight == 2:
+            a, b = _find(up, (word & -word).bit_length() - 1), _find(up, word.bit_length() - 1)
+            up[a] = b
+            rank += a != b
+        elif weight > 2:
+            raise IntegrityError(f"edge {edge_ids[e]} is in {weight} checks, expected 0 or 2")
     return rank
 
 
 def verify_stabilizers(code: CssCode) -> int:
     """Run the CHECKS in order and return the number of independent generators;
-    any failure is a hard error with a witness."""
-    for i, row in enumerate((code.hx @ code.hz.transpose()).data):
+    any failure is a hard error with a witness.  Each matrix is transposed
+    once: hz's columns serve the product hx . hz^T and hz's rank."""
+    hz_columns = code.hz.transpose()
+    for i, row in enumerate((code.hx @ hz_columns).data):
         if row:
             j = (row & -row).bit_length() - 1
             raise IntegrityError(
@@ -115,7 +114,8 @@ def verify_stabilizers(code: CssCode) -> int:
         raise IntegrityError("product of all face operators is not the identity")
     if reduce(xor, code.hz.data, 0):
         raise IntegrityError("product of all vertex operators is not the identity")
-    independent = incidence_rank(code.hx, code.edge_ids) + incidence_rank(code.hz, code.edge_ids)
+    independent = (incidence_rank(code.hx.transpose(), code.edge_ids)
+                   + incidence_rank(hz_columns, code.edge_ids))
     expected = len(code.vertex_ids) + len(code.face_ids) - 2
     if independent != expected:
         raise IntegrityError(

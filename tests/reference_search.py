@@ -156,7 +156,7 @@ def reference_shortest_nontrivial_cycle(
         raise IntegrityError("no nontrivial cycle found despite betti1 > 0")
     if not is_cycle(c, best_witness):
         raise IntegrityError("search witness is not a cycle")
-    if homology_signature(c, best_witness, basis) == 0:
+    if homology_signature(c, best_witness) == 0:
         raise IntegrityError("search witness is homologically trivial")
     return best_weight, best_witness
 

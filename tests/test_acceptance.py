@@ -32,7 +32,7 @@ from atqc.catalog import (
 from atqc.distance import code_distances, oracle_distances
 from atqc.errors import InputError
 from atqc.geometry import SchlafliPair, census, edge_length
-from atqc.homology import betti1, boundary_matrices, cocycle_basis, homology_signature
+from atqc.homology import betti1, boundary_matrices, homology_signature
 from atqc.binmat import RowBasis
 from atqc.stabilizer import build_css, verify_stabilizers
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
@@ -294,7 +294,6 @@ def test_criterion_7_homology_invariants(ingested_genus2):
             f"{c.label}: generator count",
         )
         if c.num_edges <= 14:
-            basis = cocycle_basis(c)
             boundaries = RowBasis(cc.d2.transpose().data)
             kernel = cc.d1.kernel_basis()
             for bits in range(1 << len(kernel)):
@@ -303,7 +302,7 @@ def test_criterion_7_homology_invariants(ingested_genus2):
                 while t:
                     v ^= kernel[(t & -t).bit_length() - 1]
                     t &= t - 1
-                sig_zero = homology_signature(c, v, basis) == 0
+                sig_zero = homology_signature(c, v) == 0
                 crit.check(
                     sig_zero == boundaries.contains(v),
                     f"{c.label}: signature/boundary mismatch on {v:b}",

@@ -42,6 +42,49 @@ def test_constructor_keeps_the_ids_it_is_given():
     assert c.index.edge_ids == (0, 1.9)
 
 
+# the one-vertex torus, with one argument of the constructor replaced
+ONE_VERTEX = {"genus": 1, "vertices": [0], "edges": {0: (0, 0), 1: (0, 0)},
+              "faces": {0: (0, 1, 0, 1)}, "label": ""}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"genus": 1.9}, "genus must be an integer, got 1.9"),
+        ({"genus": "x"}, "genus must be an integer, got 'x'"),
+        ({"genus": True}, "genus must be an integer, got True"),
+        ({"label": None}, "label must be a string"),
+        ({"edges": {0: (0, 0), "a": (0, 0)}, "faces": {0: (0, "a", 0, "a")}},
+         "edge ids do not sort together"),
+        ({"vertices": [0, "v"]}, "vertex ids do not sort together"),
+        ({"faces": {0: (0, 1, 0, 1), "f": (0, 1, 0, 1)}}, "face ids do not sort together"),
+        ({"edges": {0: (0,), 1: (0, 0)}}, "edge 0 must have exactly two ends"),
+        ({"edges": {0: (0, 0), 1: (0, 0, 0)}}, "edge 1 must have exactly two ends"),
+        ({"faces": {0: (0, 1, 0, 1), 1: ()}}, "face 1 has an empty edge cycle"),
+    ],
+)
+def test_constructor_rejects_with_complex_error(change, message):
+    with pytest.raises(ComplexError) as exc:
+        SurfaceComplex(**{**ONE_VERTEX, **change})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda doc: doc["edges"][0].update(ends=[0]), "edge 0 must have exactly two ends"),
+        (lambda doc: doc["edges"][0].update(ends="ab"), "edge 0 must have exactly two ends"),
+        (lambda doc: doc["faces"][1].update(edge_cycle=[]), "face 1 has an empty edge cycle"),
+    ],
+)
+def test_document_faults_keep_their_messages(change, message):
+    doc = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
+    change(doc)
+    with pytest.raises(ComplexError) as exc:
+        complex_from_dict(doc)
+    assert str(exc.value) == message
+
+
 def test_roundtrip_square_torus():
     c = build_square_torus(SquareTorusSpec(3))
     back = roundtrip(c)

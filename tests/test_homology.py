@@ -159,9 +159,8 @@ def test_face_boundaries_lie_in_check_row_space():
 
 def test_signature_of_face_boundary_is_zero(corpus):
     for c in corpus:
-        basis = cocycle_basis(c)
         for b in c.index.face_masks:
-            assert homology_signature(c, b, basis) == 0
+            assert homology_signature(c, b) == 0
 
 
 def test_signature_of_horizontal_row_nonzero():
@@ -173,11 +172,10 @@ def test_signature_of_horizontal_row_nonzero():
 
 def test_signature_additive_on_homologous_cycles():
     c = build_square_torus(SquareTorusSpec(3))
-    basis = cocycle_basis(c)
     row0 = edges_to_mask(c, [0, 1, 2])
     row1 = edges_to_mask(c, [3, 4, 5])  # homologous horizontal loop
-    assert homology_signature(c, row0, basis) == homology_signature(c, row1, basis)
-    assert homology_signature(c, row0 ^ row1, basis) == 0
+    assert homology_signature(c, row0) == homology_signature(c, row1)
+    assert homology_signature(c, row0 ^ row1) == 0
 
 
 def test_signature_rejects_non_cycles():
@@ -192,7 +190,6 @@ def test_signature_zero_iff_boundary_exhaustive(corpus):
         if c.num_edges > 14:
             continue
         cc = boundary_matrices(c)
-        basis = cocycle_basis(c)
         boundary_space = RowBasis(cc.d2.transpose().data)
         kernel = cc.d1.kernel_basis()
         for picks in itertools.product([0, 1], repeat=len(kernel)):
@@ -201,7 +198,7 @@ def test_signature_zero_iff_boundary_exhaustive(corpus):
                 if take:
                     v ^= vec
             trivial = boundary_space.contains(v)
-            assert (homology_signature(c, v, basis) == 0) == trivial
+            assert (homology_signature(c, v) == 0) == trivial
 
 
 def test_cocycle_basis_of_dual_pairs_with_dual_cycles():

@@ -135,7 +135,8 @@ def test_no_rank_and_no_dual_per_complex(monkeypatch):
 
 
 def test_export_builds_no_bases_and_check_one_product(monkeypatch, tmp_path, capsys):
-    # both check matrices come off the index masks; only verify_stabilizers multiplies
+    # both check matrices come off the index masks; only verify_stabilizers
+    # multiplies, and it transposes each matrix once to rank it by columns
     path = str(tmp_path / "square4.json")
     assert cli.main(["build", "--square", "4", "--out", path]) == 0
     calls = []
@@ -158,7 +159,7 @@ def test_export_builds_no_bases_and_check_one_product(monkeypatch, tmp_path, cap
     assert calls == []
     assert cli.main(["check", path]) == 0
     assert '"ok": true' in capsys.readouterr().out
-    assert (calls.count("__matmul__"), calls.count("transpose")) == (1, 1)
+    assert (calls.count("__matmul__"), calls.count("transpose")) == (1, 2)
     assert "boundary_matrices" not in calls
 
 
