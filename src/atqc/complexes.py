@@ -33,7 +33,8 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
+from operator import itemgetter
 from typing import IO, Iterable, Mapping
 
 from .errors import ComplexError
@@ -110,8 +111,15 @@ class SurfaceComplex:
             raise ComplexError("label must be a string")
         self.genus, self.label = _as_id(genus, "genus"), label
         self.vertices = tuple(vertices)
-        self.edges = dict(zip(edges, map(tuple, edges.values())))
-        self.faces = dict(zip(faces, map(tuple, faces.values())))
+        try:
+            self.edges = dict(zip(edges, map(tuple, edges.values())))
+            self.faces = dict(zip(faces, map(tuple, faces.values())))
+        except TypeError:  # name the first edge, else face, that is not a sequence
+            bad = [f"{kind} {k}" for kind, items in (("edge", edges), ("face", faces))
+                   for k, v in items.items() if not isinstance(v, Iterable)]
+            if not bad:
+                raise
+            raise ComplexError(f"{bad[0]} is not a sequence of ids") from None
         self._validate()
 
     # -- basic accessors ---------------------------------------------------
@@ -147,16 +155,21 @@ class SurfaceComplex:
             bad = next(e for e, ends in self.edges.items() if len(ends) != 2)
             raise ComplexError(f"edge {bad} must have exactly two ends")
         vertex_ids, edge_ids = _sorted_ids(self.vertices, "vertex"), _sorted_ids(self.edges, "edge")
-        vpos, bit = dict(zip(vertex_ids, count())), dict(zip(edge_ids, count()))
+        try:
+            vpos, bit = dict(zip(vertex_ids, count())), dict(zip(edge_ids, count()))
+        except TypeError:
+            raise ComplexError("vertex ids must be hashable") from None
         if len(vpos) != len(vertex_ids):
             raise ComplexError("duplicate vertex ids")
         stars = [0] * len(vertex_ids)
-        for e, (u, v) in self.edges.items():
-            if u not in vpos or v not in vpos:
-                raise ComplexError(f"edge {e} references unknown vertex")
-            if u != v:
-                stars[vpos[u]] ^= 1 << bit[e]
-                stars[vpos[v]] ^= 1 << bit[e]
+        try:  # KeyError: an unknown end; TypeError: one that cannot be hashed
+            for e, (u, v) in self.edges.items():
+                a, b = vpos[u], vpos[v]
+                if a != b:
+                    stars[a] ^= 1 << bit[e]
+                    stars[b] ^= 1 << bit[e]
+        except (KeyError, TypeError):
+            raise ComplexError(f"edge {e} references unknown vertex") from None
         face_ids = _sorted_ids(self.faces, "face")
         face_masks, first, face_of, edge_of = [], [0], [], []
         for i, f in enumerate(face_ids):
@@ -164,10 +177,11 @@ class SurfaceComplex:
             if not cyc:
                 raise ComplexError(f"face {f} has an empty edge cycle")
             mask = 0
-            for e in cyc:
-                if e not in bit:
-                    raise ComplexError(f"face {f} references unknown edge {e}")
-                mask ^= 1 << bit[e]
+            try:  # KeyError: an unknown edge; TypeError: one that cannot be hashed
+                for e in cyc:
+                    mask ^= 1 << bit[e]
+            except (KeyError, TypeError):
+                raise ComplexError(f"face {f} references unknown edge {e}") from None
             face_masks.append(mask)
             face_of += [i] * len(cyc)
             edge_of += cyc
@@ -359,41 +373,40 @@ def _as_ids(values: list, what: str) -> list:
     return values
 
 
+def _entries(items: list, kind: str, key: str, not_list: str, member: str) -> dict:
+    """{id: list} from the edge or face entries.  One type pass over the whole
+    list, as in _as_ids; the entry-by-entry loop runs only when it fails, to
+    name the first fault, and accepts every list that the pass accepts."""
+    if set(map(type, items)) <= {dict} and set(map(tuple, items)) <= {("id", key), (key, "id")}:
+        ids, values = list(map(itemgetter("id"), items)), list(map(itemgetter(key), items))
+        if (set(map(type, values)) <= {list} and set(map(type, chain(ids, *values))) <= {int}
+                and len(set(ids)) == len(ids)):
+            return dict(zip(ids, values))
+    out = {}
+    for item in items:
+        if not isinstance(item, dict) or set(item) != {"id", key}:
+            raise ComplexError(f"{kind} entries must have exactly the keys 'id' and '{key}'")
+        i = _as_id(item["id"], f"{kind} id")
+        if i in out:
+            raise ComplexError(f"duplicate {kind} id {i}")
+        if not isinstance(item[key], list):
+            raise ComplexError(f"{kind} {i} {not_list}")
+        out[i] = _as_ids(item[key], member)
+    return out
+
+
 def complex_from_dict(doc: dict) -> SurfaceComplex:
     if not isinstance(doc, dict):
         raise ComplexError("complex document must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ComplexError(f"unknown key {min(unknown)!r} in complex document")
-    missing = _TOP_KEYS - set(doc)
-    if missing:
-        raise ComplexError(f"missing key {min(missing)!r} in complex document")
+    for word, keys in (("unknown", set(doc) - _TOP_KEYS), ("missing", _TOP_KEYS - set(doc))):
+        if keys:
+            raise ComplexError(f"{word} key {min(keys)!r} in complex document")
     for key in ("vertices", "edges", "faces"):
         if not isinstance(doc[key], list):
             raise ComplexError(f"{key} must be a list")
     vertices = _as_ids(doc["vertices"], "vertex id")
-    edges = {}
-    for item in doc["edges"]:
-        if not isinstance(item, dict) or set(item) != {"id", "ends"}:
-            raise ComplexError("edge entries must have exactly the keys 'id' and 'ends'")
-        eid = _as_id(item["id"], "edge id")
-        if eid in edges:
-            raise ComplexError(f"duplicate edge id {eid}")
-        if not isinstance(item["ends"], list):
-            raise ComplexError(f"edge {eid} must have exactly two ends")
-        edges[eid] = _as_ids(item["ends"], "edge end")
-    faces = {}
-    for item in doc["faces"]:
-        if not isinstance(item, dict) or set(item) != {"id", "edge_cycle"}:
-            raise ComplexError(
-                "face entries must have exactly the keys 'id' and 'edge_cycle'"
-            )
-        fid = _as_id(item["id"], "face id")
-        if fid in faces:
-            raise ComplexError(f"duplicate face id {fid}")
-        if not isinstance(item["edge_cycle"], list):
-            raise ComplexError(f"face {fid} edge_cycle must be a list")
-        faces[fid] = _as_ids(item["edge_cycle"], "face edge")
+    edges = _entries(doc["edges"], "edge", "ends", "must have exactly two ends", "edge end")
+    faces = _entries(doc["faces"], "face", "edge_cycle", "edge_cycle must be a list", "face edge")
     return SurfaceComplex(doc["genus"], vertices, edges, faces, doc["label"])
 
 

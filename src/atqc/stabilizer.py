@@ -131,37 +131,21 @@ def verify_stabilizers(code: CssCode) -> int:
 # -- parity-check serialization ---------------------------------------------
 
 
-def _select_matrix(code: CssCode, matrix: str) -> BinaryMatrix:
-    if matrix == "hx":
-        return code.hx
-    if matrix == "hz":
-        return code.hz
-    raise InputError(f"matrix must be 'hx' or 'hz', got {matrix!r}")
-
-
 def write_alist(m: BinaryMatrix, sink: IO[str]) -> None:
-    """MacKay alist: columns first, 1-indexed, zero-padded to the max weight."""
+    """MacKay alist: columns first, 1-indexed, zero-padded to the max weight.
+    Each line is one ``" ".join`` over a list read from one number table."""
+    rows = [support(word) for word in m.data]
+    num = [str(i) for i in range(max(m.rows, m.cols) + 1)]
     cols = [[] for _ in range(m.cols)]
-    rows = []
-    for i, word in enumerate(m.data):
-        row = support(word)
-        rows.append(row)
+    for i, row in enumerate(rows):
         for j in row:
-            cols[j].append(i)
-    max_col = max((len(c) for c in cols), default=0)
-    max_row = max((len(r) for r in rows), default=0)
-    lines = [
-        f"{m.cols} {m.rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(len(c)) for c in cols),
-        " ".join(str(len(r)) for r in rows),
-    ]
-    for c in cols:
-        padded = [i + 1 for i in c] + [0] * (max_col - len(c))
-        lines.append(" ".join(map(str, padded)))
-    for r in rows:
-        padded = [j + 1 for j in r] + [0] * (max_row - len(r))
-        lines.append(" ".join(map(str, padded)))
+            cols[j].append(num[i + 1])
+    max_col, max_row = max(map(len, cols), default=0), max(map(len, rows), default=0)
+    zeros = ["0"] * max(max_col, max_row)
+    lines = [f"{m.cols} {m.rows}", f"{max_col} {max_row}",
+             " ".join([num[len(c)] for c in cols]), " ".join([num[len(r)] for r in rows])]
+    lines += [" ".join(c + zeros[len(c):max_col]) for c in cols]
+    lines += [" ".join([num[j + 1] for j in r] + zeros[len(r):max_row]) for r in rows]
     sink.write("\n".join(lines) + "\n")
 
 
@@ -242,14 +226,15 @@ def read_dense_text(source: IO[str]) -> BinaryMatrix:
 
 def _write_json(code: CssCode, sink: IO[str]) -> None:
     """The layout of ``json.dump(doc, indent=1, sort_keys=True)`` plus a
-    newline, streamed one matrix row at a time."""
+    newline, streamed one matrix row at a time.  One ``str.replace`` puts the
+    separator before, between and after a row's bits; the ends are cut off."""
     sink.write(f'{{\n "genus": {json.dumps(code.genus)},\n')
     for key, m in (("hx", code.hx), ("hz", code.hz)):
         sink.write(f' "{key}": [')
         sep = "\n"
         for word in m.data:
-            bits = _row_bits(word, m.cols)
-            sink.write(sep + ("  [\n   " + ",\n   ".join(bits) + "\n  ]" if bits else "  []"))
+            bits = _row_bits(word, m.cols).replace("", ",\n   ")[5:-5]
+            sink.write(sep + ("  [\n   " + bits + "\n  ]" if bits else "  []"))
             sep = ",\n"
         sink.write("\n ],\n" if m.rows else "],\n")
     sink.write(
@@ -260,11 +245,10 @@ def _write_json(code: CssCode, sink: IO[str]) -> None:
 
 def export_checks(code: CssCode, format: str, sink: IO[str], matrix: str = "hz") -> None:
     """Serialize parity checks; alist/dense-text take one matrix, json both."""
-    if format == ALIST:
-        write_alist(_select_matrix(code, matrix), sink)
-    elif format == DENSE_TEXT:
-        write_dense_text(_select_matrix(code, matrix), sink)
-    elif format == JSON_FORMAT:
-        _write_json(code, sink)
-    else:
+    if format == JSON_FORMAT:
+        return _write_json(code, sink)
+    if format not in (ALIST, DENSE_TEXT):
         raise InputError(f"unknown export format {format!r}; choose from {EXPORT_FORMATS}")
+    if matrix not in ("hx", "hz"):
+        raise InputError(f"matrix must be 'hx' or 'hz', got {matrix!r}")
+    (write_alist if format == ALIST else write_dense_text)(getattr(code, matrix), sink)

@@ -61,6 +61,11 @@ ONE_VERTEX = {"genus": 1, "vertices": [0], "edges": {0: (0, 0), 1: (0, 0)},
         ({"edges": {0: (0,), 1: (0, 0)}}, "edge 0 must have exactly two ends"),
         ({"edges": {0: (0, 0), 1: (0, 0, 0)}}, "edge 1 must have exactly two ends"),
         ({"faces": {0: (0, 1, 0, 1), 1: ()}}, "face 1 has an empty edge cycle"),
+        ({"edges": {0: 5}, "faces": {0: (0,)}}, "edge 0 is not a sequence of ids"),
+        ({"faces": {0: 7}}, "face 0 is not a sequence of ids"),
+        ({"vertices": [[0]]}, "vertex ids must be hashable"),
+        ({"faces": {0: (0, 1, 0, [1])}}, "face 0 references unknown edge [1]"),
+        ({"edges": {0: ([0], 0), 1: (0, 0)}}, "edge 0 references unknown vertex"),
     ],
 )
 def test_constructor_rejects_with_complex_error(change, message):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import random
@@ -350,6 +351,13 @@ def test_export_rejects_unknown_format():
         export_checks(code, "yaml", io.StringIO())
 
 
+@pytest.mark.parametrize("format", ["alist", "dense-text"])
+def test_export_rejects_unknown_matrix(format):
+    code = build_css(build_square_torus(SquareTorusSpec(2)))
+    with pytest.raises(InputError, match="matrix must be 'hx' or 'hz', got 'hq'"):
+        export_checks(code, format, io.StringIO(), matrix="hq")
+
+
 # -- byte identity against the per-bit writers ------------------------------
 
 
@@ -377,12 +385,25 @@ def reference_json(code: CssCode) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def reference_alist(m: BinaryMatrix) -> str:
+    """MacKay alist, bit by bit: column lists first, then row lists, each
+    1-based and padded with 0 to the largest weight."""
+    rows = dense(m)
+    col_lists = [[i + 1 for i in range(m.rows) if rows[i][j]] for j in range(m.cols)]
+    row_lists = [[j + 1 for j in range(m.cols) if row[j]] for row in rows]
+    max_col = max((len(c) for c in col_lists), default=0)
+    max_row = max((len(r) for r in row_lists), default=0)
+    lines = [[m.cols, m.rows], [max_col, max_row],
+             [len(c) for c in col_lists], [len(r) for r in row_lists]]
+    lines += [c + [0] * (max_col - len(c)) for c in col_lists]
+    lines += [r + [0] * (max_row - len(r)) for r in row_lists]
+    return "".join(" ".join(str(x) for x in line) + "\n" for line in lines)
+
+
 def reference_export(code: CssCode, format: str, matrix: str) -> str:
     m = code.hx if matrix == "hx" else code.hz
     if format == "alist":
-        buf = io.StringIO()
-        write_alist(m, buf)
-        return buf.getvalue()
+        return reference_alist(m)
     if format == "dense-text":
         return reference_dense_text(m)
     return reference_json(code)
@@ -416,8 +437,49 @@ def test_json_export_escapes_label_like_json_dump():
     assert_exports_match_reference(code)
 
 
-@pytest.mark.parametrize("rows,cols", [(0, 5), (3, 0), (0, 0), (1, 64)])
+@pytest.mark.parametrize("rows,cols", [(0, 5), (3, 0), (0, 0), (1, 64), (5, 2)])
 def test_exports_byte_identical_on_edge_shapes(rows, cols):
     code = build_css(build_square_torus(SquareTorusSpec(2)))
     m = BinaryMatrix(rows, cols, [(1 << cols) - 1 - (i % 2) for i in range(rows)])
     assert_exports_match_reference(dataclasses.replace(code, hx=m, hz=m))
+
+
+# SHA-256 of every export, taken from the per-bit writers before the bulk ones
+EXPORT_DIGESTS = {
+    "genus2": {
+        ("alist", "hx"): "e2d0d5abb5bf979b89176248bd8e9b55c4963b1dbabaf8d7ddd317252c18a1ca",
+        ("alist", "hz"): "9805e68cfa57dbcea474d8b9fff14385a5f0d18573ff79934aa3cada1eb52a02",
+        ("dense-text", "hx"): "d5b310ef164f5c50f1aac9fc2c6572ed3046e175fc937c03804b10788b67bc75",
+        ("dense-text", "hz"): "2bbe77a5fe83b2cf340d036a0d469b5c5c61f9b3e9b6b6fc16f5b760ce96e05f",
+        ("json", "hz"): "71a3d0e6b2dd19b8cab318a2b869f7297ecf85373ad142b54f91529c2c2fa02b",
+    },
+    "square3": {
+        ("alist", "hx"): "15334305bd2a0c20429234ef5339880efe1f1da5ea0680a6f6a27eed813d02ae",
+        ("alist", "hz"): "7d2d9e517527a661bf05e16453db90384da75f85f3a08b674667b7b9fb0d47e0",
+        ("dense-text", "hx"): "02c64b1f4efcac72e413ff807ccbb25b0c911d7dadc513e8fd48e232eb006fe4",
+        ("dense-text", "hz"): "82fb9f5e3fa88ecc6cce965887efebd0e179948d708f4fd54f243358dbfa29b9",
+        ("json", "hz"): "f9d1e12a65226494b1554e9021c3192085ed57293a825b908181a711dcc3bc88",
+    },
+    "hex-edge9": {
+        ("alist", "hx"): "e29a8865f02ba5e4fff1cce82cec5e229d91140f51a73cd22085c45eae7122c1",
+        ("alist", "hz"): "4ac9332bc032d8f96f74220a02ce6b4bcd987de09e731613f04449096da73e6b",
+        ("dense-text", "hx"): "87e9898af6dde3e75bfa414c6dcc395118a8d7f0dda451d2718f7373a07340da",
+        ("dense-text", "hz"): "2643103df3424145249bfe635b3e6b77726a959b9375879ecf17fb72a4553df4",
+        ("json", "hz"): "17f5cce606af4cd0894f79696ec7894b89361115790f522f541615449120a99c",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_digests_are_pinned(name, ingested_genus2):
+    c = {
+        "genus2": ingested_genus2,
+        "square3": build_square_torus(SquareTorusSpec(3)),
+        "hex-edge9": build_hex_torus(HexTorusSpec("edge", 9)),
+    }[name]
+    code = build_css(c)
+    for (format, matrix), digest in EXPORT_DIGESTS[name].items():
+        buf = io.StringIO()
+        export_checks(code, format, buf, matrix=matrix)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (format, matrix)
+        assert buf.getvalue() == reference_export(code, format, matrix), (format, matrix)

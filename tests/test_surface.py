@@ -6,6 +6,7 @@ checked against random orientable gluings whose vertex cycles are known.
 """
 import copy
 import io
+import itertools
 import json
 import random
 
@@ -256,6 +257,11 @@ def test_one_vertex_torus_rotation():
 JUNK = ["x", None, 1.5, True, [], {}, -1, 10**6, [0, 1, 2]]
 
 
+def junk(rng, *extra):
+    """A copy of a random junk value, so that later damage cannot alter JUNK."""
+    return copy.deepcopy(rng.choice(JUNK + list(extra)))
+
+
 def mutate(doc, rng):
     """One random damage: a wrong type, a missing or extra id, a reversed
     cycle or a deleted item, anywhere in the document."""
@@ -267,7 +273,7 @@ def mutate(doc, rng):
             doc["extra"] = 0
         return
     if key in ("genus", "label") or not isinstance(doc.get(key), list) or not doc[key]:
-        doc[key] = rng.choice(JUNK)
+        doc[key] = junk(rng)
         return
     items = doc[key]
     i = rng.randrange(len(items))
@@ -277,7 +283,7 @@ def mutate(doc, rng):
     elif kind == 1:
         items.append(copy.deepcopy(items[i]))
     elif kind == 2 or key == "vertices" or not isinstance(items[i], dict):
-        items[i] = rng.choice(JUNK + [rng.randrange(-2, 3 * len(items))])
+        items[i] = junk(rng, rng.randrange(-2, 3 * len(items)))
     else:
         item = items[i]
         field = rng.choice(sorted(item) + ["extra"])
@@ -285,13 +291,128 @@ def mutate(doc, rng):
         if kind == 3 and isinstance(value, list):
             value.reverse()
         elif kind == 4 and isinstance(value, list) and value:
-            value[rng.randrange(len(value))] = rng.choice(JUNK + [rng.randrange(-2, 100)])
+            value[rng.randrange(len(value))] = junk(rng, rng.randrange(-2, 100))
         elif kind == 5 and isinstance(value, list) and value:
             del value[rng.randrange(len(value))]
         elif rng.random() < 0.3:
             item.pop(field, None)
         else:
-            item[field] = rng.choice(JUNK + [rng.randrange(-2, 100)])
+            item[field] = junk(rng, rng.randrange(-2, 100))
+
+
+DOCUMENT_KEYS = {"genus", "label", "vertices", "edges", "faces"}
+
+
+def reference_from_dict(doc):
+    """complex_from_dict with its edge and face entries read one by one, as
+    before the bulk type check: the messages that check must keep."""
+    if not isinstance(doc, dict):
+        raise ComplexError("complex document must be a JSON object")
+    unknown = set(doc) - DOCUMENT_KEYS
+    if unknown:
+        raise ComplexError(f"unknown key {min(unknown)!r} in complex document")
+    missing = DOCUMENT_KEYS - set(doc)
+    if missing:
+        raise ComplexError(f"missing key {min(missing)!r} in complex document")
+    for key in ("vertices", "edges", "faces"):
+        if not isinstance(doc[key], list):
+            raise ComplexError(f"{key} must be a list")
+    vertices = [reference_id(v, "vertex id") for v in doc["vertices"]]
+    edges = {}
+    for item in doc["edges"]:
+        if not isinstance(item, dict) or set(item) != {"id", "ends"}:
+            raise ComplexError("edge entries must have exactly the keys 'id' and 'ends'")
+        eid = reference_id(item["id"], "edge id")
+        if eid in edges:
+            raise ComplexError(f"duplicate edge id {eid}")
+        if not isinstance(item["ends"], list):
+            raise ComplexError(f"edge {eid} must have exactly two ends")
+        edges[eid] = [reference_id(v, "edge end") for v in item["ends"]]
+    faces = {}
+    for item in doc["faces"]:
+        if not isinstance(item, dict) or set(item) != {"id", "edge_cycle"}:
+            raise ComplexError("face entries must have exactly the keys 'id' and 'edge_cycle'")
+        fid = reference_id(item["id"], "face id")
+        if fid in faces:
+            raise ComplexError(f"duplicate face id {fid}")
+        if not isinstance(item["edge_cycle"], list):
+            raise ComplexError(f"face {fid} edge_cycle must be a list")
+        faces[fid] = [reference_id(e, "face edge") for e in item["edge_cycle"]]
+    return SurfaceComplex(doc["genus"], vertices, edges, faces, doc["label"])
+
+
+def reference_id(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ComplexError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def outcome(load, doc):
+    """The loaded complex's fields, or the message it was refused with."""
+    try:
+        c = load(doc)
+    except ComplexError as exc:
+        return str(exc)
+    return c.genus, c.label, c.vertices, c.edges, c.faces, c.rotations
+
+
+def test_bulk_entry_check_keeps_every_message(corpus):
+    rng = random.Random(20)
+    small = [c for c in corpus if c.num_edges <= 48] + [one_vertex_torus()]
+    bases = [complex_to_dict(c) for c in small]
+    rejected = 0
+    for _ in range(4000):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng)
+        doc = json.loads(json.dumps(doc))
+        expected = outcome(reference_from_dict, doc)
+        assert outcome(complex_from_dict, doc) == expected
+        rejected += isinstance(expected, str)
+    assert rejected > 3000
+
+
+def test_bulk_entry_check_keeps_the_message_of_each_junk_value():
+    # mutate seldom puts junk in place of a whole list, so every field of the
+    # first and last entry gets each junk value here, and each list member too
+    base = complex_to_dict(build_square_torus(SquareTorusSpec(2)))
+    fields = [("edges", "id"), ("edges", "ends"), ("faces", "id"), ("faces", "edge_cycle")]
+    for (key, field), i, value, member in itertools.product(
+        fields, (0, -1), JUNK, (False, True)
+    ):
+        doc = copy.deepcopy(base)
+        if member and field != "id":
+            doc[key][i][field][0] = copy.deepcopy(value)
+        else:
+            doc[key][i][field] = copy.deepcopy(value)
+        assert outcome(complex_from_dict, doc) == outcome(reference_from_dict, doc)
+
+
+class Entry(dict):
+    pass
+
+
+class Id(int):
+    pass
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: doc["edges"].__setitem__(0, Entry(doc["edges"][0])),
+        lambda doc: doc["faces"].__setitem__(2, Entry(doc["faces"][2])),
+        lambda doc: doc["edges"][3].update(id=Id(doc["edges"][3]["id"])),
+        lambda doc: doc["faces"][1].update(id=Id(doc["faces"][1]["id"])),
+        lambda doc: doc["edges"][5].update(ends=[Id(x) for x in doc["edges"][5]["ends"]]),
+        lambda doc: doc["faces"][0].update(edge_cycle=[Id(e) for e in doc["faces"][0]["edge_cycle"]]),
+        lambda doc: doc["vertices"].__setitem__(0, Id(doc["vertices"][0])),
+    ],
+)
+def test_subclassed_entries_and_ids_are_accepted(change):
+    doc = complex_to_dict(build_square_torus(SquareTorusSpec(3)))
+    expected = outcome(complex_from_dict, doc)
+    change(doc)
+    assert outcome(complex_from_dict, doc) == expected == outcome(reference_from_dict, doc)
 
 
 def test_mutated_documents_raise_only_complex_error(corpus):
