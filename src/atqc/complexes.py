@@ -52,16 +52,15 @@ class ComplexIndex:
     steps along a face as read, ``dart_vertex`` and ``dart_face`` give the
     vertex whose rotation holds a dart and its face.  An edge's incidence is
     held once, as its first slot ``edge_dart[e]`` and that dart's alpha.
-    ``face_masks`` and ``star_masks`` are the face boundaries and vertex
-    stars.  Validation builds these; the check matrices and the boundary
-    operators are read off the masks on request and not cached.  ``bases``
-    and ``sides`` are filled on first use by :mod:`atqc.homology`, ``orbits``
-    by :mod:`atqc.distance`.  ``sides[0]`` (vertex graph) and ``sides[1]``
-    (face adjacency) are each (node -> [(edge, neighbour)], one word per
-    edge whose bit i says cocycle i, resp. cycle i, holds it).  Threads
-    racing to fill a field compute equal values, so no lock is needed;
-    ``sides`` is set first, so whoever sees ``bases`` sees it too.  Nothing
-    mutates what the index hands out.
+    Validation builds these; the index holds no face boundary or vertex
+    star, which :func:`atqc.stabilizer.build_css` builds from the darts as
+    check rows on request.  ``bases`` and ``sides`` are filled on first use
+    by :mod:`atqc.homology`, ``orbits`` by :mod:`atqc.distance`.  ``sides[0]``
+    (vertex graph) and ``sides[1]`` (face adjacency) are each (node ->
+    [(edge, neighbour)], one word per edge whose bit i says cocycle i, resp.
+    cycle i, holds it).  Threads racing to fill a field compute equal values,
+    so no lock is needed; ``sides`` is set first, so whoever sees ``bases``
+    sees it too.  Nothing mutates what the index hands out.
     """
 
     edge_ids: tuple[int, ...]
@@ -69,8 +68,6 @@ class ComplexIndex:
     vertex_ids: tuple[int, ...]
     face_ids: tuple[int, ...]
     edge_dart: list[int]
-    face_masks: list[int]
-    star_masks: list[int]
     alpha: list[int]
     phi: list[int]
     dart_vertex: list[int]
@@ -161,35 +158,29 @@ class SurfaceComplex:
             raise ComplexError("vertex ids must be hashable") from None
         if len(vpos) != len(vertex_ids):
             raise ComplexError("duplicate vertex ids")
-        stars = [0] * len(vertex_ids)
         try:  # KeyError: an unknown end; TypeError: one that cannot be hashed
             for e, (u, v) in self.edges.items():
-                a, b = vpos[u], vpos[v]
-                if a != b:
-                    stars[a] ^= 1 << bit[e]
-                    stars[b] ^= 1 << bit[e]
+                vpos[u], vpos[v]  # looked up only to reject an unknown end
         except (KeyError, TypeError):
             raise ComplexError(f"edge {e} references unknown vertex") from None
         face_ids = _sorted_ids(self.faces, "face")
-        face_masks, first, face_of, edge_of = [], [0], [], []
+        first, face_of, edge_of, slot_bit = [0], [], [], []
         for i, f in enumerate(face_ids):
             cyc = self.faces[f]
             if not cyc:
                 raise ComplexError(f"face {f} has an empty edge cycle")
-            mask = 0
             try:  # KeyError: an unknown edge; TypeError: one that cannot be hashed
                 for e in cyc:
-                    mask ^= 1 << bit[e]
+                    slot_bit.append(bit[e])
             except (KeyError, TypeError):
                 raise ComplexError(f"face {f} references unknown edge {e}") from None
-            face_masks.append(mask)
             face_of += [i] * len(cyc)
             edge_of += cyc
             first.append(len(edge_of))
         # darts are the face slots in (face id, position) order; an edge's
         # first dart is its first slot, and alpha pairs it with the other
         edge_dart, alpha = [-1] * len(edge_ids), [-1] * len(edge_of)
-        for d, b in enumerate(map(bit.__getitem__, edge_of)):
+        for d, b in enumerate(slot_bit):
             a = edge_dart[b]
             if a < 0:
                 edge_dart[b] = d
@@ -301,8 +292,8 @@ class SurfaceComplex:
                 f"Euler characteristic {chi} inconsistent with genus {self.genus} "
                 f"(expected {2 - 2 * self.genus})"
             )
-        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, edge_dart, face_masks,
-                                  stars, alpha, phi, list(map(vpos.__getitem__, owner)), face_of)
+        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, edge_dart, alpha, phi,
+                                  list(map(vpos.__getitem__, owner)), face_of)
         self.degenerate_faces = tuple(
             f for f in face_ids if len(set(self.faces[f])) < len(self.faces[f])
         )

@@ -3,13 +3,15 @@
 Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
 Edge sets are packed as integers over its dense edge order (ascending
 edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
-boundary.  Both graphs are read off the darts: edge e's ends are the
-``dart_vertex`` and its faces the ``dart_face`` of ``edge_dart[e]`` and its
-alpha.  The homology bases are computed on first use, checked once, and
-cached on that index with both graphs and their signature words (``sides``),
-which the distance search reads.  :func:`boundary_matrices` builds d1 and
-d2 on each request and caches nothing: no library code uses them, they are
-the reference the tests eliminate against.
+boundary, and an unknown id or a mask bit outside that order is an
+InputError.  Both graphs and :func:`is_cycle` read the darts: edge e's ends
+are the ``dart_vertex`` and its faces the ``dart_face`` of ``edge_dart[e]``
+and its alpha.  The homology bases are computed on first use, checked once,
+and cached on that index with both graphs and their signature words
+(``sides``), which the distance search reads.  :func:`boundary_matrices`
+takes d1 = hz and d2 = hx^T from :func:`~atqc.stabilizer.build_css` on each
+request and caches nothing: no library code uses them, they are the
+reference the tests eliminate against.
 The bases come from the tree/co-tree construction: a spanning
 tree of the primal graph plus a spanning tree of the dual graph on the
 remaining edges leave exactly 2g edges; each leftover edge closes one
@@ -21,7 +23,7 @@ operations: each face's XOR of the cocycle words over its boundary must be
 0, and cycle i's XOR of them must be ``1 << i``.  Each edge's word goes to
 the faces at both its ends: an edge with both slots on one face, a loop of
 the face adjacency (listed there once), bounds that face twice and cancels,
-as it does in the face mask.
+as it does in that face's X-check row.
 
 The same construction certifies b1 = dim ker(d1) - rank(d2) = 2g with no
 rank.  Validation guarantees two face slots per edge and |V| - |E| + |F| =
@@ -48,19 +50,30 @@ from typing import Iterable
 from .binmat import BinaryMatrix, parity, support
 from .complexes import SurfaceComplex
 from .errors import IntegrityError, InputError
+from .stabilizer import build_css
 
 
 def edges_to_mask(c: SurfaceComplex, edge_ids: Iterable[int]) -> int:
-    bit = c.index.bit
-    mask = 0
+    bit, mask = c.index.bit, 0
     for e in edge_ids:
-        mask ^= 1 << bit[e]
+        try:  # KeyError: an unknown id; TypeError: one that cannot be hashed
+            mask ^= 1 << bit[e]
+        except (KeyError, TypeError):
+            raise InputError(f"edge {e!r} is not an edge of the complex") from None
+    return mask
+
+
+def _edge_set(c: SurfaceComplex, mask: int) -> int:
+    """``mask`` itself if it is a set of the complex's edges, else InputError."""
+    n = len(c.index.edge_ids)
+    if mask < 0 or mask >> n:
+        raise InputError(f"edge mask is not a set of the complex's edges 0..{n - 1}")
     return mask
 
 
 def mask_to_edges(c: SurfaceComplex, mask: int) -> tuple[int, ...]:
     order = c.index.edge_ids
-    return tuple(order[i] for i in support(mask))
+    return tuple(order[i] for i in support(_edge_set(c, mask)))
 
 
 @dataclass(frozen=True)
@@ -77,11 +90,9 @@ class ChainComplexZ2:
 
 
 def boundary_matrices(c: SurfaceComplex) -> ChainComplexZ2:
-    """d1 and d2 from the index's masks, checked d1 . d2 = 0."""
-    ix = c.index
-    n = len(ix.edge_ids)
-    d2 = BinaryMatrix(len(ix.face_ids), n, ix.face_masks).transpose()
-    d1 = BinaryMatrix(len(ix.vertex_ids), n, ix.star_masks)
+    """d1 = hz and d2 = hx^T from :func:`~atqc.stabilizer.build_css`, checked d1 . d2 = 0."""
+    code = build_css(c)
+    d2, d1 = code.hx.transpose(), code.hz
     if not (d1 @ d2).is_zero():
         raise IntegrityError("d1 . d2 != 0; boundary construction is broken")
     return ChainComplexZ2(d2=d2, d1=d1)
@@ -172,7 +183,7 @@ def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, 
     sums = [0] * len(dual_graph)
     for f, g, word in compress(zip(*dual_ends, words[0]), words[0]):
         sums[f] ^= word
-        sums[g] ^= word  # a face-adjacency loop (f == g) cancels, as in its face mask
+        sums[g] ^= word  # a face-adjacency loop (f == g) cancels, as in its check row
     for f, odd in enumerate(sums):
         if odd:
             raise IntegrityError(
@@ -195,8 +206,12 @@ def cocycle_basis(c: SurfaceComplex, dual: bool = False) -> tuple[int, ...]:
 
 
 def is_cycle(c: SurfaceComplex, mask: int, dual: bool = False) -> bool:
-    closers = c.index.face_masks if dual else c.index.star_masks
-    return all(parity(m & mask) == 0 for m in closers)
+    """Even at every vertex (face if dual), as named by each edge's two darts."""
+    ix, odd = c.index, set()
+    cell = ix.dart_face if dual else ix.dart_vertex
+    for d in map(ix.edge_dart.__getitem__, support(_edge_set(c, mask))):
+        odd ^= {cell[d]} ^ {cell[ix.alpha[d]]}
+    return not odd
 
 
 def homology_signature(c: SurfaceComplex, cycle: int, dual: bool = False) -> int:

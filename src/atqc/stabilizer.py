@@ -2,8 +2,9 @@
 
 Convention: X-type checks sit on faces (row f of hx = face boundary) and
 Z-type checks on vertices (row v of hz = vertex star), so d_x is the
-primal-graph distance and d_z the dual-graph distance.  Both matrices are
-read off the complex's index.  The code carries no logical operators:
+primal-graph distance and d_z the dual-graph distance.  :func:`build_css`
+builds both matrices from the darts of the complex's index, and nothing else
+builds check rows.  The code carries no logical operators:
 :func:`atqc.homology.cycle_cocycle_bases` gives them, primal cycles for
 logical X and dual cycles for logical Z, paired as the identity.
 """
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import xor
+from collections import Counter
+from itertools import chain, product
 from typing import IO
 
 from .binmat import BinaryMatrix, support
@@ -42,7 +43,10 @@ class CssCode:
 
 
 def build_css(c: SurfaceComplex) -> CssCode:
-    """X checks from the face masks, Z checks from the vertex stars.
+    """X checks on the faces, Z checks on the vertices; no other code builds
+    check rows.  Edge b's bit is toggled in the row of the face and of the vertex
+    of each of its two darts: a loop cancels in its vertex's row, and an edge
+    that a face runs twice cancels in that face's row.
 
     k = 2g: validation proved a closed, connected, orientable surface with
     Euler characteristic 2 - 2g, and :func:`verify_stabilizers` re-derives
@@ -50,26 +54,19 @@ def build_css(c: SurfaceComplex) -> CssCode:
     """
     ix = c.index
     n = len(ix.edge_ids)
-    hx = BinaryMatrix(len(ix.face_ids), n, ix.face_masks)
-    hz = BinaryMatrix(len(ix.vertex_ids), n, ix.star_masks)
-    warnings = []
-    zero_rows = [f for f, row in zip(ix.face_ids, hx.data) if row == 0]
-    if zero_rows:
-        warnings.append(
-            f"degenerate complex: face(s) {zero_rows} have zero X-check rows"
-        )
-    return CssCode(
-        n=n,
-        k=2 * c.genus,
-        genus=c.genus,
-        hx=hx,
-        hz=hz,
-        edge_ids=ix.edge_ids,
-        vertex_ids=ix.vertex_ids,
-        face_ids=ix.face_ids,
-        source_label=c.label,
-        warnings=tuple(warnings),
-    )
+    hx, hz = BinaryMatrix(len(ix.face_ids), n), BinaryMatrix(len(ix.vertex_ids), n)
+    xs, zs, face, vertex, alpha = hx.data, hz.data, ix.dart_face, ix.dart_vertex, ix.alpha
+    for b, d in enumerate(ix.edge_dart):
+        a, m = alpha[d], 1 << b
+        xs[face[d]] ^= m
+        xs[face[a]] ^= m
+        zs[vertex[d]] ^= m
+        zs[vertex[a]] ^= m
+    zero_rows = [f for f, row in zip(ix.face_ids, xs) if row == 0]
+    warnings = (f"degenerate complex: face(s) {zero_rows} have zero X-check rows",)
+    return CssCode(n=n, k=2 * c.genus, genus=c.genus, hx=hx, hz=hz, edge_ids=ix.edge_ids,
+                   vertex_ids=ix.vertex_ids, face_ids=ix.face_ids, source_label=c.label,
+                   warnings=warnings if zero_rows else ())
 
 
 CHECKS = ("commutation", "face_product", "vertex_product", "edge_incidence", "generator_count")
@@ -81,41 +78,50 @@ def _find(up: list[int], i: int) -> int:
     return i
 
 
-def incidence_rank(columns: BinaryMatrix, edge_ids: tuple[int, ...]) -> int:
-    """GF(2) rank of a matrix given as its transpose ``columns``, one word per
-    column.  Columns of weight 0 or 2 make it the incidence matrix of a
-    multigraph on its rows: rows minus components (zero rows count), since the
-    only relations are the component sums.  A heavier column raises."""
-    up, rank = list(range(columns.cols)), 0
-    for e, word in enumerate(columns.data):
-        weight = word.bit_count()
-        if weight == 2:
-            a, b = _find(up, (word & -word).bit_length() - 1), _find(up, word.bit_length() - 1)
+def columns_of(m: BinaryMatrix) -> list[list[int]]:
+    """Each column of m as its rows, ascending: linear in the entries, unlike a transpose."""
+    out = [[] for _ in range(m.cols)]
+    for i, word in enumerate(m.data):
+        while word:  # top bit first, as in transpose: clearing it shortens word
+            j = word.bit_length() - 1
+            out[j].append(i)
+            word ^= 1 << j
+    return out
+
+
+def incidence_rank(columns: list[list[int]], edge_ids: tuple[int, ...]) -> int:
+    """GF(2) rank of a matrix given as its ``columns``.  Columns of weight 0 or 2
+    make it the incidence matrix of a multigraph on its rows: rows minus
+    components (zero rows count), since the only relations are the component
+    sums.  A heavier column raises."""
+    up, rank = list(range(max(map(max, filter(None, columns)), default=-1) + 1)), 0
+    for e, col in enumerate(columns):
+        if len(col) == 2:
+            a, b = _find(up, col[0]), _find(up, col[1])
             up[a] = b
             rank += a != b
-        elif weight > 2:
-            raise IntegrityError(f"edge {edge_ids[e]} is in {weight} checks, expected 0 or 2")
+        elif len(col) > 2:
+            raise IntegrityError(f"edge {edge_ids[e]} is in {len(col)} checks, expected 0 or 2")
     return rank
 
 
 def verify_stabilizers(code: CssCode) -> int:
     """Run the CHECKS in order and return the number of independent generators;
-    any failure is a hard error with a witness.  Each matrix is transposed
-    once: hz's columns serve the product hx . hz^T and hz's rank."""
-    hz_columns = code.hz.transpose()
-    for i, row in enumerate((code.hx @ hz_columns).data):
-        if row:
-            j = (row & -row).bit_length() - 1
-            raise IntegrityError(
-                f"X check on face {code.face_ids[i]} anticommutes with Z check "
-                f"on vertex {code.vertex_ids[j]}"
-            )
-    if reduce(xor, code.hx.data, 0):
-        raise IntegrityError("product of all face operators is not the identity")
-    if reduce(xor, code.hz.data, 0):
-        raise IntegrityError("product of all vertex operators is not the identity")
-    independent = (incidence_rank(code.hx.transpose(), code.edge_ids)
-                   + incidence_rank(hz_columns, code.edge_ids))
+    any failure is a hard error with a witness.  Every check runs edge by edge
+    from each matrix's columns, read once: no product and no transpose."""
+    xcols, zcols = columns_of(code.hx), columns_of(code.hz)
+    shared = Counter(chain.from_iterable(map(product, xcols, zcols)))  # (face, vertex): edges
+    odd = [pair for pair, count in shared.items() if count & 1]
+    if odd:
+        i, j = min(odd)
+        raise IntegrityError(
+            f"X check on face {code.face_ids[i]} anticommutes with Z check "
+            f"on vertex {code.vertex_ids[j]}"
+        )
+    for cols, what in ((xcols, "face"), (zcols, "vertex")):  # identity iff no column is odd
+        if any(len(col) & 1 for col in cols):
+            raise IntegrityError(f"product of all {what} operators is not the identity")
+    independent = incidence_rank(xcols, code.edge_ids) + incidence_rank(zcols, code.edge_ids)
     expected = len(code.vertex_ids) + len(code.face_ids) - 2
     if independent != expected:
         raise IntegrityError(

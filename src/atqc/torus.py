@@ -19,9 +19,9 @@ edge scaling, lambda = 3m.  Its cells are 0 <= i < a, 0 <= j < c, and
 owns two vertices A, B and three edges, numbered from its cell.
 
 Every builder refuses more than MAX_BUILD_EDGES edges before it allocates
-anything: each face and vertex-star mask is an E-bit integer, so memory
-grows as E * (V + F), and the square torus l = 256 already needs more
-than a gigabyte.
+anything: each row of the check matrices hx and hz is an E-bit integer, so
+``atqc check`` grows as E * (V + F).  At the cap (square l = 181) it stays
+under a gigabyte; square l = 256 would not.
 """
 from __future__ import annotations
 

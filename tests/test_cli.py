@@ -377,3 +377,13 @@ def test_racing_threads_parse_with_the_shared_parser():
         assert namespaces == [want] * 200
     # append copies the shared default before it appends
     assert cli.build_parser().parse_args(["curves"]).pair == []
+
+
+@pytest.mark.parametrize("doc", ["[]", "3", '"x"', "null"])
+def test_check_rejects_a_document_that_is_not_an_object(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    assert cli.main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: complex document must be a JSON object\n"

@@ -96,6 +96,11 @@ def test_census_examples(p, q, g, n_f, n_f_star, n_edges):
     assert isinstance(cen.n_f, Fraction)
 
 
+def test_census_rejects_genus_1():
+    with pytest.raises(InputError, match="^census needs genus >= 2, got 1$"):
+        census(SchlafliPair(8, 3), 1)
+
+
 def test_census_rejects_euclidean():
     with pytest.raises(InputError):
         census(SchlafliPair(4, 4), 2)

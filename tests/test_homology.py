@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
+from gluings import random_gluing
 
 from atqc import homology
 from atqc.binmat import RowBasis, parity
-from atqc.complexes import dual_complex
+from atqc.complexes import complex_from_dict, dual_complex
 from atqc.errors import InputError, IntegrityError
 from atqc.homology import (
     betti1,
@@ -17,6 +19,7 @@ from atqc.homology import (
     mask_to_edges,
 )
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+from test_index import face_rows
 from test_irregular import one_vertex_torus, random_merges
 
 
@@ -76,7 +79,7 @@ def test_cocycle_properties(corpus):
     for c in corpus:
         cocycles = cocycle_basis(c)
         assert len(cocycles) == 2 * c.genus
-        faces = c.index.face_masks
+        faces = face_rows(c)
         for coc in cocycles:
             assert all(parity(b & coc) == 0 for b in faces)
         cycles, cocycles2 = cycle_cocycle_bases(c)
@@ -159,7 +162,7 @@ def test_face_boundaries_lie_in_check_row_space():
 
 def test_signature_of_face_boundary_is_zero(corpus):
     for c in corpus:
-        for b in c.index.face_masks:
+        for b in face_rows(c):
             assert homology_signature(c, b) == 0
 
 
@@ -205,3 +208,51 @@ def test_cocycle_basis_of_dual_pairs_with_dual_cycles():
     c = build_hex_torus(HexTorusSpec("apothem", 2))
     d = dual_complex(c)
     assert len(cocycle_basis(d)) == 2
+
+
+def odd_cells(c, mask, dual):
+    """Vertices (faces if dual) an edge set meets an odd number of times, by
+    counting ends (face slots) mod 2; bit i of mask is the i-th smallest edge id."""
+    order = sorted(c.edges)
+    edges = [e for i, e in enumerate(order) if mask >> i & 1]
+    if dual:
+        return [f for f, cyc in c.faces.items() if sum(map(cyc.count, edges)) % 2]
+    return [v for v in c.vertices if sum(c.edges[e].count(v) for e in edges) % 2]
+
+
+def test_is_cycle_against_counted_ends(corpus):
+    # loops, multi-edges and faces that run an edge twice: gluings, merges,
+    # the one-vertex torus and hex apothem 1
+    rng = random.Random(2105)
+    gluings = [complex_from_dict(random_gluing(rng)[0]) for _ in range(300)]
+    merges = [c for seed in range(41, 61) for c in random_merges(seed)]
+    extra = [one_vertex_torus(), build_hex_torus(HexTorusSpec("apothem", 1))]
+    seen = set()
+    for c in corpus + gluings + merges + extra:
+        n = c.num_edges
+        cycles = (*cycle_cocycle_bases(c)[0], *face_rows(c))  # closed on the primal side
+        for _ in range(4):
+            closed = rng.choice(cycles) ^ rng.choice(cycles)
+            for mask in (rng.getrandbits(n), closed, closed ^ 1 << rng.randrange(n)):
+                for dual in (False, True):
+                    expected = not odd_cells(c, mask, dual)
+                    assert is_cycle(c, mask, dual) == expected, (c.label, mask, dual)
+                    seen.add((dual, expected))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_edge_masks_and_ids_outside_the_complex_are_input_errors():
+    c = build_square_torus(SquareTorusSpec(3))  # n = 18
+    w = edges_to_mask(c, [0, 1, 2])
+    for mask in (-1, 1 << 18, w | 1 << 18):
+        with pytest.raises(InputError, match=r"not a set of the complex's edges 0\.\.17"):
+            mask_to_edges(c, mask)
+        for dual in (False, True):
+            with pytest.raises(InputError, match="not a set"):
+                is_cycle(c, mask, dual)
+            with pytest.raises(InputError, match="not a set"):
+                homology_signature(c, mask, dual)
+    assert mask_to_edges(c, (1 << 18) - 1) == tuple(range(18))
+    for ids, bad in (([999], "999"), ([0, 1, "x"], "'x'"), ([[0]], r"\[0\]")):
+        with pytest.raises(InputError, match=f"^edge {bad} is not an edge of the complex$"):
+            edges_to_mask(c, ids)

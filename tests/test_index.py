@@ -4,15 +4,17 @@ Every reference value below is rebuilt from ``c.edges``/``c.faces`` alone,
 with formulas that differ from the index's own (counts mod 2 instead of
 running XORs, a scan of every face slot instead of one pass per face).
 """
+import io
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from atqc import cli
 from atqc.binmat import BinaryMatrix
-from atqc.complexes import SurfaceComplex, dual_complex
+from atqc.complexes import SurfaceComplex, dual_complex, load_complex, save_complex
 from atqc.distance import code_distances
 from atqc.homology import (
     betti1,
@@ -46,6 +48,25 @@ def merged_complexes():
     return out
 
 
+def face_rows(c):
+    """Each face's boundary, bit by edge position in ascending id order: the
+    edges it runs an odd number of times."""
+    order = sorted(c.edges)
+    return [
+        sum(1 << order.index(e) for e in set(c.faces[f]) if c.faces[f].count(e) % 2)
+        for f in sorted(c.faces)
+    ]
+
+
+def star_rows(c):
+    """Each vertex's star: the edges with it at an odd number of ends."""
+    order = sorted(c.edges)
+    return [
+        sum(1 << order.index(e) for e, ends in c.edges.items() if ends.count(v) % 2)
+        for v in sorted(c.vertices)
+    ]
+
+
 @pytest.fixture(scope="module")
 def complexes(corpus):
     extra = [one_vertex_torus(), build_hex_torus(HexTorusSpec("apothem", 1))]
@@ -60,14 +81,9 @@ def test_index_equals_recomputation(complexes):
         assert ix.bit == {e: order.index(e) for e in c.edges}
         assert ix.vertex_ids == tuple(vertices)
         assert ix.face_ids == tuple(faces)
-        assert ix.face_masks == [
-            sum(1 << order.index(e) for e in set(c.faces[f]) if c.faces[f].count(e) % 2)
-            for f in faces
-        ]
-        assert ix.star_masks == [
-            sum(1 << order.index(e) for e, ends in c.edges.items() if ends.count(v) % 2)
-            for v in vertices
-        ]
+        code = build_css(c)
+        assert code.hx.data == face_rows(c)
+        assert code.hz.data == star_rows(c)
         # dart d is the d-th face slot in (face id, position) order
         darts = [(f, t) for f in faces for t in range(len(c.faces[f]))]
         assert len(ix.alpha) == len(ix.dart_vertex) == len(ix.dart_face) == len(darts)
@@ -134,9 +150,9 @@ def test_no_rank_and_no_dual_per_complex(monkeypatch):
     assert calls == []
 
 
-def test_export_builds_no_bases_and_check_one_product(monkeypatch, tmp_path, capsys):
-    # both check matrices come off the index masks; only verify_stabilizers
-    # multiplies, and it transposes each matrix once to rank it by columns
+def test_export_builds_no_bases_and_check_no_product(monkeypatch, tmp_path, capsys):
+    # build_css builds both check matrices from the darts; verify_stabilizers
+    # reads each as its columns, with no product and no transpose
     path = str(tmp_path / "square4.json")
     assert cli.main(["build", "--square", "4", "--out", path]) == 0
     calls = []
@@ -159,7 +175,7 @@ def test_export_builds_no_bases_and_check_one_product(monkeypatch, tmp_path, cap
     assert calls == []
     assert cli.main(["check", path]) == 0
     assert '"ok": true' in capsys.readouterr().out
-    assert (calls.count("__matmul__"), calls.count("transpose")) == (1, 2)
+    assert (calls.count("__matmul__"), calls.count("transpose")) == (0, 0)
     assert "boundary_matrices" not in calls
 
 
@@ -195,3 +211,22 @@ def test_racing_threads_fill_equal_values():
             assert cycle_cocycle_bases(c) == expected[2]
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_load_and_distances_grow_linearly():
+    # the index and the search hold O(n) words: doubling the side (n x 4)
+    # may not multiply the traced peak by more than 5; n-bit rows held per
+    # face and per vertex multiply it by about 6.7
+    peaks = []
+    for side in (48, 96):
+        buf = io.StringIO()
+        save_complex(build_square_torus(SquareTorusSpec(side)), buf)
+        text = buf.getvalue()
+        tracemalloc.start()
+        try:
+            r = code_distances(load_complex(io.StringIO(text)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (r.d_x, r.d_z) == (side, side)
+    assert peaks[1] < 5 * peaks[0], peaks

@@ -21,6 +21,7 @@ from atqc.homology import (
 from atqc.stabilizer import (
     CssCode,
     build_css,
+    columns_of,
     export_checks,
     incidence_rank,
     read_alist,
@@ -129,7 +130,7 @@ def test_verify_names_the_first_anticommuting_pair(corpus):
 def assert_incidence_rank_is_elimination_rank(c):
     code = build_css(c)
     for m in (code.hx, code.hz):
-        assert incidence_rank(m.transpose(), code.edge_ids) == RowBasis(m.data).rank, c.label
+        assert incidence_rank(columns_of(m), code.edge_ids) == RowBasis(m.data).rank, c.label
 
 
 def test_incidence_rank_equals_elimination_on_corpus(corpus):
@@ -166,7 +167,7 @@ def test_duplicated_rows_lower_the_generator_count(key):
     # trivial, commutation kept, but the rows split into two components
     code = square2_code_with(**{key: (0, 0, 3, 3)})
     m = getattr(code, key)
-    assert incidence_rank(m.transpose(), code.edge_ids) == RowBasis(m.data).rank == 2
+    assert incidence_rank(columns_of(m), code.edge_ids) == RowBasis(m.data).rank == 2
     message = "5 independent generators, expected |V|+|F|-2 = 6"
     with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
         verify_stabilizers(code)
@@ -184,7 +185,7 @@ def test_edge_in_four_checks_is_named(key):
     with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
         verify_stabilizers(code)
     with pytest.raises(IntegrityError, match="is in 4 checks"):
-        incidence_rank(m.transpose(), code.edge_ids)
+        incidence_rank(columns_of(m), code.edge_ids)
 
 
 def test_product_checks_fire_before_edge_incidence():
@@ -483,3 +484,19 @@ def test_export_digests_are_pinned(name, ingested_genus2):
         export_checks(code, format, buf, matrix=matrix)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, (format, matrix)
         assert buf.getvalue() == reference_export(code, format, matrix), (format, matrix)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty dense-text matrix"),
+        ("\n  \n", "empty dense-text matrix"),
+        ("101\n10\n", "equal-length strings of 0/1"),
+        ("101\n1x1\n", "equal-length strings of 0/1"),
+        ("121\n", "equal-length strings of 0/1"),
+    ],
+    ids=["empty", "blank-lines", "ragged", "letter", "digit-2"],
+)
+def test_read_dense_text_rejects_malformed_input(text, message):
+    with pytest.raises(InputError, match=message):
+        read_dense_text(io.StringIO(text))

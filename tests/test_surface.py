@@ -14,6 +14,7 @@ import pytest
 from gluings import pinch_two_pairs, random_gluing
 from reference_search import reference_shortest_nontrivial_cycle
 from test_complexes import normalize_cycle, roundtrip
+from test_index import face_rows
 from test_irregular import one_vertex_torus, random_merges
 
 from atqc import cli
@@ -141,7 +142,7 @@ def test_dual_saved_with_reflected_faces_loads(tmp_path, capsys):
     assert REFLECTED_DUAL["label"] == f"dual({primal.label})"
     c = complex_from_dict(copy.deepcopy(REFLECTED_DUAL))
     assert sorted(c.rotations) == [0, 2]
-    assert c.index.face_masks == dual_complex(primal).index.face_masks
+    assert build_css(c).hx.data == face_rows(c) == face_rows(dual_complex(primal))
     r = code_distances(primal)
     path = tmp_path / "dual.json"
     path.write_text(json.dumps(REFLECTED_DUAL))
@@ -162,7 +163,7 @@ def test_duals_with_reflected_faces_load():
             for item in doc["faces"]:
                 item["edge_cycle"] = list(normalize_cycle(item["edge_cycle"]))
             back = complex_from_dict(doc)
-            assert back.index.face_masks == d.index.face_masks, c.label
+            assert build_css(back).hx.data == face_rows(back) == face_rows(d), c.label
             assert len(back.rotations) == back.num_vertices
             count += 1
     assert count == 240
