@@ -136,7 +136,9 @@ class RowBasis:
 
 
 def support(v: int) -> tuple[int, ...]:
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits, ascending; ValueError for a negative int (infinitely many)."""
+    if v < 0:
+        raise ValueError(f"a negative int has no finite support: {v}")
     out = []
     while v:
         j = (v & -v).bit_length() - 1

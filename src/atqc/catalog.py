@@ -9,11 +9,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import IO, Iterable, Sequence
 
 from . import geometry
 from .errors import InputError
-from .geometry import SchlafliPair, census, distance_bounds, edge_length, fundamental_diameter
+from .geometry import SchlafliPair, census, census_counts, distance_bounds, edge_length
+from .geometry import fundamental_diameter, guarded_ceil
 from .torus import APOTHEM, HexTorusSpec
 
 BOUND = "bound"
@@ -45,14 +47,19 @@ class CodeParams:
         }
 
 
+def _infeasible(pair: SchlafliPair, g: int) -> InputError:
+    cen = census(pair, g)
+    return InputError(
+        f"census for {pair} at genus {g} is infeasible: n_f = {cen.n_f}, "
+        f"n_f* = {cen.n_f_star} must both be positive integers"
+    )
+
+
 def family_params(pair: SchlafliPair, g: int) -> CodeParams:
     """Parameters of the hyperbolic {p,q} code on genus g (distances are bounds)."""
     cen = census(pair, g)
     if not cen.feasible:
-        raise InputError(
-            f"census for {pair} at genus {g} is infeasible: n_f = {cen.n_f}, "
-            f"n_f* = {cen.n_f_star} must both be positive integers"
-        )
+        raise _infeasible(pair, g)
     d_x, d_z = distance_bounds(pair, g)
     n = int(cen.n_edges)
     k = 2 * g
@@ -144,19 +151,9 @@ def pair_coefficients(pair: SchlafliPair) -> tuple[int, int, int]:
     return int(cen.n_f), int(cen.n_f_star), int(cen.n_edges)
 
 
-TABLE_COLUMNS = [
-    "table",
-    "pair",
-    "n_f",
-    "n_f_star",
-    "n",
-    "k",
-    "d_z_bound",
-    "d_x_bound",
-    "rate",
-    "edge_length",
-    "dual_edge_length",
-]
+TABLE_COLUMNS = (
+    "table,pair,n_f,n_f_star,n,k,d_z_bound,d_x_bound,rate,edge_length,dual_edge_length"
+).split(",")
 
 
 def emit_tables(sink: IO[str]) -> None:
@@ -201,62 +198,41 @@ def emit_tables(sink: IO[str]) -> None:
         )
 
 
-CURVE_COLUMNS = [
-    "pair",
-    "g",
-    "d_h",
-    "dx_raw",
-    "dz_raw",
-    "diff_raw",
-    "dx_bound",
-    "dz_bound",
-    "diff_bound",
-    "n",
-    "k",
-    "rate",
-]
+CURVE_COLUMNS = "pair,g,d_h,dx_raw,dz_raw,diff_raw,dx_bound,dz_bound,diff_bound,n,k,rate".split(",")
 
 
 def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[str]) -> None:
     """Per-genus raw (unrounded) d_h/l ratios, ceilinged bounds, and rates.
 
-    Every row is computed before the header is written, so a pair that
-    fails leaves the sink empty.  The first genus outside 2..64 is rejected
-    as the range is read, so a long range costs no more than a short one.
+    Each closed form is computed once per call: a pair's two edge lengths,
+    a genus's d_h and its text.  A row's bounds are the guarded ceilings of
+    the raw ratios it prints (the floats distance_bounds divides) and its n
+    is the integer census, so no row builds a Fraction.  Every row is
+    computed before the header is written, so a pair that fails leaves the
+    sink empty.  The first genus outside 2..64 is rejected as the range is
+    read, so a long range costs no more than a short one.
     """
     genera = set()
     for g in g_range:
         if not 2 <= g <= 64:
             raise InputError(f"genus range must lie within 2..64, got genus {g}")
         genera.add(g)
-    gs = sorted(genera)
-    if not gs:
+    if not genera:
         raise InputError("empty genus range")
+    diameters = [(g, d_h := fundamental_diameter(g), f"{d_h:.12g}") for g in sorted(genera)]
     rows = []
     for pair in pairs:
-        l_pq = edge_length(pair)
-        l_qp = edge_length(pair.dual)
-        for g in gs:
-            d_h = fundamental_diameter(g)
-            params = family_params(pair, g)
-            dx_raw = d_h / l_pq
-            dz_raw = d_h / l_qp
-            rows.append(
-                [
-                    str(pair),
-                    g,
-                    f"{d_h:.12g}",
-                    f"{dx_raw:.12g}",
-                    f"{dz_raw:.12g}",
-                    f"{dx_raw - dz_raw:.12g}",
-                    params.d_x,
-                    params.d_z,
-                    params.d_x - params.d_z,
-                    params.n,
-                    params.k,
-                    f"{params.rate.numerator}/{params.rate.denominator}",
-                ]
-            )
+        l_pq, l_qp, name = edge_length(pair), edge_length(pair.dual), str(pair)
+        for g, d_h, d_h_text in diameters:
+            counts = census_counts(pair, g)
+            if counts is None:
+                raise _infeasible(pair, g)
+            n, k = counts[2], 2 * g
+            dx_raw, dz_raw = d_h / l_pq, d_h / l_qp
+            d_x, d_z = guarded_ceil(dx_raw), guarded_ceil(dz_raw)
+            r = gcd(k, n)
+            raw = [f"{dx_raw:.12g}", f"{dz_raw:.12g}", f"{dx_raw - dz_raw:.12g}"]
+            rows.append([name, g, d_h_text, *raw, d_x, d_z, d_x - d_z, n, k, f"{k // r}/{n // r}"])
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CURVE_COLUMNS)
     writer.writerows(rows)

@@ -1,8 +1,9 @@
 """Closed-form metric and counting formulas for {p,q} tessellations.
 
-Everything here is a pure function of (p, q, genus).  Census arithmetic is
-exact rational; the hyperbolic lengths are double precision with a snap
-guard where a ratio is provably an exact integer.
+Everything here is a pure function of (p, q, genus).  The census is exact
+integer divisibility (census_counts states the rule); the hyperbolic
+lengths are double precision with a snap guard where a ratio is provably
+an exact integer.
 """
 from __future__ import annotations
 
@@ -93,18 +94,29 @@ def fundamental_diameter(g: int) -> float:
     return 2.0 * math.acosh(math.cos(angle) / math.sin(angle))
 
 
+def census_counts(pair: SchlafliPair, g: int) -> tuple[int, int, int] | None:
+    """Integer (n_f, n_f*, n) = (4q, 4p, 2pq)(g-1)/c, c = pq-2p-2q, or None if infeasible.
+
+    Feasible iff c divides 4q(g-1) and 4p(g-1), which makes n an integer
+    too (c is odd when p and q are, so 4 divides n_f).  The caller checks,
+    as census does, that the pair is hyperbolic (c > 0) and g >= 2.
+    """
+    p, q = pair.p, pair.q
+    c, m = p * q - 2 * p - 2 * q, 4 * (g - 1)
+    if q * m % c or p * m % c:
+        return None
+    return q * m // c, p * m // c, p * q * m // (2 * c)
+
+
 def census(pair: SchlafliPair, g: int) -> TessellationCensus:
     """Exact tessellation census on genus g; requires a hyperbolic pair, g >= 2."""
     _require_hyperbolic(pair)
     if g < 2:
         raise InputError(f"census needs genus >= 2, got {g}")
     p, q = pair.p, pair.q
-    denom = p * q - 2 * p - 2 * q
-    n_f = Fraction(4 * q * (g - 1), denom)
-    n_f_star = n_f * p / q
-    n_edges = n_f * p / 2
-    feasible = all(x > 0 and x.denominator == 1 for x in (n_f, n_f_star, n_edges))
-    return TessellationCensus(n_f=n_f, n_f_star=n_f_star, n_edges=n_edges, feasible=feasible)
+    c, m = p * q - 2 * p - 2 * q, 4 * (g - 1)
+    counts = Fraction(q * m, c), Fraction(p * m, c), Fraction(p * q * m, 2 * c)
+    return TessellationCensus(*counts, feasible=census_counts(pair, g) is not None)
 
 
 def guarded_ceil(ratio: float) -> int:

@@ -55,6 +55,10 @@ from .stabilizer import build_css
 
 def edges_to_mask(c: SurfaceComplex, edge_ids: Iterable[int]) -> int:
     bit, mask = c.index.bit, 0
+    try:
+        edge_ids = iter(edge_ids)
+    except TypeError:
+        raise InputError(f"edge ids must be an iterable of ids, got {edge_ids!r}") from None
     for e in edge_ids:
         try:  # KeyError: an unknown id; TypeError: one that cannot be hashed
             mask ^= 1 << bit[e]
@@ -64,9 +68,9 @@ def edges_to_mask(c: SurfaceComplex, edge_ids: Iterable[int]) -> int:
 
 
 def _edge_set(c: SurfaceComplex, mask: int) -> int:
-    """``mask`` itself if it is a set of the complex's edges, else InputError."""
+    """``mask`` itself if it is an int (not a bool) naming a set of edges, else InputError."""
     n = len(c.index.edge_ids)
-    if mask < 0 or mask >> n:
+    if type(mask) is not int or mask < 0 or mask >> n:
         raise InputError(f"edge mask is not a set of the complex's edges 0..{n - 1}")
     return mask
 

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +96,15 @@ def test_row_basis_reduce():
 def test_support():
     assert support(0b101001) == (0, 3, 5)
     assert support(0) == ()
+
+
+def test_support_of_a_negative_int_is_a_value_error():
+    # in a child process with a timeout, so a regression to the endless loop fails here
+    code = "from atqc.binmat import support\ntry: support(-1)\nexcept ValueError as e: print(e)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "a negative int has no finite support: -1\n")
+    with pytest.raises(ValueError, match="negative"):
+        support(-(1 << 70))
 
 
 def brute_force_span(rows):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from atqc.catalog import (
+    CURVE_COLUMNS,
     TABLE1_FAMILIES,
     TABLE2_PAIRS,
     emit_curves,
@@ -16,7 +17,15 @@ from atqc.catalog import (
     toric_family_params,
 )
 from atqc.errors import InputError
-from atqc.geometry import SchlafliPair, census, distance_bounds
+from atqc.geometry import (
+    SchlafliPair,
+    TessellationCensus,
+    census,
+    census_counts,
+    distance_bounds,
+    edge_length,
+    fundamental_diameter,
+)
 from atqc.torus import HexTorusSpec
 from conftest import table1_value
 
@@ -228,3 +237,121 @@ def test_table2_n_tracks_printed_coefficients():
             params = family_params(SchlafliPair(p, q), g)
             assert params.n == coeff * (g - 1)
             assert params.k == 2 * g
+
+
+def reference_curves(pairs, g_range, sink):
+    """Reference rows: family_params for every (pair, g), each closed form recomputed per row."""
+    genera = set()
+    for g in g_range:
+        if not 2 <= g <= 64:
+            raise InputError(f"genus range must lie within 2..64, got genus {g}")
+        genera.add(g)
+    gs = sorted(genera)
+    if not gs:
+        raise InputError("empty genus range")
+    rows = []
+    for pair in pairs:
+        l_pq = edge_length(pair)
+        l_qp = edge_length(pair.dual)
+        for g in gs:
+            d_h = fundamental_diameter(g)
+            params = family_params(pair, g)
+            dx_raw = d_h / l_pq
+            dz_raw = d_h / l_qp
+            rows.append(
+                [
+                    str(pair),
+                    g,
+                    f"{d_h:.12g}",
+                    f"{dx_raw:.12g}",
+                    f"{dz_raw:.12g}",
+                    f"{dx_raw - dz_raw:.12g}",
+                    params.d_x,
+                    params.d_z,
+                    params.d_x - params.d_z,
+                    params.n,
+                    params.k,
+                    f"{params.rate.numerator}/{params.rate.denominator}",
+                ]
+            )
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(CURVE_COLUMNS)
+    writer.writerows(rows)
+
+
+def curves_outcome(emit, pairs, genera):
+    """The bytes written, or the InputError text with whatever was written."""
+    sink = io.StringIO()
+    try:
+        emit(pairs, genera, sink)
+    except InputError as exc:
+        return str(exc), sink.getvalue()
+    return sink.getvalue()
+
+
+HYPERBOLIC_PAIRS_TO_13 = [
+    SchlafliPair(p, q) for p in range(3, 14) for q in range(3, 14) if (p - 2) * (q - 2) > 4
+]
+
+
+@pytest.mark.parametrize("g_from,g_to", [(2, 64), (2, 10), (5, 40)])
+def test_curves_match_the_per_row_reference(g_from, g_to):
+    genera = range(g_from, g_to + 1)
+    written = 0
+    for pair in HYPERBOLIC_PAIRS_TO_13:
+        out = curves_outcome(emit_curves, [pair], genera)
+        assert out == curves_outcome(reference_curves, [pair], genera), pair
+        written += isinstance(out, str)
+    assert written == 23  # the pairs whose census is feasible at every genus, {7,3} among them
+    pairs = list(TABLE2_PAIRS) + [pair.dual for pair in TABLE2_PAIRS]
+    both = curves_outcome(emit_curves, pairs, genera)
+    assert both == curves_outcome(reference_curves, pairs, genera)
+    assert both.count("\n") == 1 + len(pairs) * len(genera)
+
+
+def test_curves_snap_a_ratio_within_the_guard():
+    # {228,228} at genus 57: d_h = l exactly, but the doubles divide to 1 + 2**-52
+    pair = SchlafliPair(228, 228)
+    assert fundamental_diameter(57) / edge_length(pair) == 1 + 2**-52
+    rows = curve_rows(pairs=("228,228",), g_from=57, g_to=57)
+    assert [(r["dx_raw"], r["dx_bound"], r["dz_bound"], r["n"]) for r in rows] == [
+        ("1", "1", "1", "114")
+    ]
+    genera = range(50, 65)
+    assert curves_outcome(emit_curves, [pair], genera) == curves_outcome(reference_curves, [pair], genera)
+
+
+def test_curves_name_the_first_infeasible_census():
+    message = (
+        "census for {11,3} at genus 2 is infeasible: n_f = 12/5, n_f* = 44/5 "
+        "must both be positive integers"
+    )
+    for pairs in ([SchlafliPair(11, 3)], [SchlafliPair(7, 3), SchlafliPair(11, 3)]):
+        assert curves_outcome(emit_curves, pairs, range(2, 11)) == (message, "")
+        assert curves_outcome(reference_curves, pairs, range(2, 11)) == (message, "")
+    with pytest.raises(InputError) as exc:
+        family_params(SchlafliPair(11, 3), 2)
+    assert str(exc.value) == message
+
+
+def fraction_census(p, q, g):
+    """The rational census rule: (n_f, n_f*, n) = (4q, 4p, 2pq)(g-1)/c, all positive integers."""
+    c, m = p * q - 2 * p - 2 * q, g - 1
+    counts = (Fraction(4 * q * m, c), Fraction(4 * p * m, c), Fraction(2 * p * q * m, c))
+    return counts, all(x > 0 and x.denominator == 1 for x in counts)
+
+
+def test_integer_census_matches_the_fraction_rule():
+    feasible = 0
+    for p in range(3, 31):
+        for q in range(3, 31):
+            if (p - 2) * (q - 2) <= 4:
+                continue
+            pair = SchlafliPair(p, q)
+            for g in range(2, 201):
+                counts, ok = fraction_census(p, q, g)
+                assert census_counts(pair, g) == (counts if ok else None), (p, q, g)
+                if g <= 20:
+                    assert census(pair, g) == TessellationCensus(*counts, feasible=ok), (p, q, g)
+                feasible += ok
+    assert feasible > 10_000

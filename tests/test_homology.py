@@ -256,3 +256,33 @@ def test_edge_masks_and_ids_outside_the_complex_are_input_errors():
     for ids, bad in (([999], "999"), ([0, 1, "x"], "'x'"), ([[0]], r"\[0\]")):
         with pytest.raises(InputError, match=f"^edge {bad} is not an edge of the complex$"):
             edges_to_mask(c, ids)
+
+
+def test_a_float_edge_mask_is_an_input_error():
+    c = build_square_torus(SquareTorusSpec(3))
+    with pytest.raises(InputError, match="not a set of the complex's edges"):
+        mask_to_edges(c, 3.0)
+    for dual in (False, True):
+        with pytest.raises(InputError, match="not a set of the complex's edges"):
+            is_cycle(c, 3.0, dual)
+        with pytest.raises(InputError, match="not a set of the complex's edges"):
+            homology_signature(c, 3.0, dual)
+
+
+def test_a_bool_edge_mask_is_an_input_error():
+    # True == 1, but a bool names no set of edges
+    c = build_square_torus(SquareTorusSpec(3))
+    for mask in (True, False):
+        with pytest.raises(InputError, match="not a set of the complex's edges"):
+            mask_to_edges(c, mask)
+        with pytest.raises(InputError, match="not a set of the complex's edges"):
+            is_cycle(c, mask)
+    assert mask_to_edges(c, 1) == (0,)
+
+
+def test_edges_to_mask_of_a_non_iterable_is_an_input_error():
+    c = build_square_torus(SquareTorusSpec(3))
+    for ids in (5, None, 2.5):
+        with pytest.raises(InputError, match=f"^edge ids must be an iterable of ids, got {ids}$"):
+            edges_to_mask(c, ids)
+    assert edges_to_mask(c, iter([0, 2])) == 0b101
