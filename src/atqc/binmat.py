@@ -1,7 +1,9 @@
 """Dense GF(2) matrices with bit-packed rows.
 
 Rows are stored as Python integers (bit j = column j), which keeps all
-arithmetic exact and makes XOR-heavy kernels cheap at desk scale.
+arithmetic exact and makes XOR-heavy kernels cheap at desk scale.  Each walk
+exists once: :func:`columns_of` (``transpose``, ``kernel_basis``), :func:`support`
+(``@``) and :class:`RowBasis`'s elimination (``rank``, ``kernel_basis``).
 """
 from __future__ import annotations
 
@@ -45,14 +47,7 @@ class BinaryMatrix:
         return not any(self.data)
 
     def transpose(self) -> "BinaryMatrix":
-        out = [0] * self.cols
-        for i, w in enumerate(self.data):
-            bit = 1 << i
-            while w:  # top bit first: clearing it shortens w
-                j = w.bit_length() - 1
-                out[j] |= bit
-                w ^= 1 << j
-        return BinaryMatrix(self.cols, self.rows, out)
+        return BinaryMatrix(self.cols, self.rows, [sum(1 << i for i in col) for col in columns_of(self)])
 
     def __matmul__(self, other: "BinaryMatrix") -> "BinaryMatrix":
         if self.cols != other.rows:
@@ -60,11 +55,8 @@ class BinaryMatrix:
         out = []
         for w in self.data:
             acc = 0
-            t = w
-            while t:  # top bit first, as in transpose
-                j = t.bit_length() - 1
+            for j in support(w):
                 acc ^= other.data[j]
-                t ^= 1 << j
             out.append(acc)
         return BinaryMatrix(self.rows, other.cols, out)
 
@@ -74,31 +66,17 @@ class BinaryMatrix:
     def kernel_basis(self) -> list[int]:
         """Basis of {v : M v = 0}, packed over the column index.  Each vector is the only
         one set at its own free (non-pivot) column, so a sum of j weighs at least j."""
-        reduced: list[int] = []
-        pivots: list[int] = []
-        for w in self.data:
-            for r, p in zip(reduced, pivots):
-                if (w >> p) & 1:
-                    w ^= r
-            if w:
-                reduced.append(w)
-                pivots.append(w.bit_length() - 1)
+        echelon = RowBasis(self.data)
+        reduced, pivots = echelon.vectors, echelon.pivots
         # back-substitute so each pivot column appears in exactly one row
         for idx in range(len(reduced)):
             for jdx in range(idx):
                 if (reduced[jdx] >> pivots[idx]) & 1:
                     reduced[jdx] ^= reduced[idx]
-        pivot_set = set(pivots)
-        basis = []
-        for col in range(self.cols):
-            if col in pivot_set:
-                continue
-            vec = 1 << col
-            for r, p in zip(reduced, pivots):
-                if (r >> col) & 1:
-                    vec |= 1 << p
-            basis.append(vec)
-        return basis
+        # a free column's vector: its own bit and the pivot of each row set there
+        pivot_set, columns = set(pivots), columns_of(BinaryMatrix(len(reduced), self.cols, reduced))
+        return [1 << col | sum(1 << pivots[i] for i in rows)
+                for col, rows in enumerate(columns) if col not in pivot_set]
 
 
 class RowBasis:
@@ -133,6 +111,17 @@ class RowBasis:
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
+
+
+def columns_of(m: BinaryMatrix) -> list[list[int]]:
+    """Each column of m as its rows, ascending: linear in the entries, unlike a transpose."""
+    out = [[] for _ in range(m.cols)]
+    for i, word in enumerate(m.data):
+        while word:  # top bit first: clearing it shortens word
+            j = word.bit_length() - 1
+            out[j].append(i)
+            word ^= 1 << j
+    return out
 
 
 def support(v: int) -> tuple[int, ...]:

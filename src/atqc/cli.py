@@ -14,12 +14,13 @@ import json
 import shutil
 import sys
 import tempfile
+from dataclasses import asdict
 from functools import cache, partial
 from typing import IO, Callable
 
 from .catalog import emit_curves, emit_tables, family_params
 from .complexes import load_complex, save_complex
-from .distance import BOTH_AGREE, DEFAULT_ORACLE_CEILING, DistanceResult, certified_distances
+from .distance import BOTH_AGREE, DEFAULT_ORACLE_CEILING, certified_distances
 from .errors import AtqcError, DiscrepancyError, InputError
 from .geometry import SchlafliPair, classify
 from .homology import betti1
@@ -58,16 +59,6 @@ def _load(path: str):
         return load_complex(sys.stdin)
     with open(path, "r", encoding="utf-8") as src:
         return load_complex(src)
-
-
-def _distance_doc(result: DistanceResult) -> dict:
-    return {
-        "d_x": result.d_x,
-        "d_z": result.d_z,
-        "witness_x": list(result.witness_x),
-        "witness_z": list(result.witness_z),
-        "method": result.method,
-    }
 
 
 def cmd_classify(args) -> int:
@@ -124,7 +115,7 @@ def cmd_distance(args) -> int:
     c = _load(args.file)
     result = certified_distances(c, args.oracle_ceiling)
     oracle = {"ran": result.method == BOTH_AGREE, "n": c.num_edges, "ceiling": args.oracle_ceiling}
-    _emit({**_distance_doc(result), "oracle": oracle})
+    _emit({**asdict(result), "oracle": oracle})
     return EXIT_OK
 
 

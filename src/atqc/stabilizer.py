@@ -4,7 +4,8 @@ Convention: X-type checks sit on faces (row f of hx = face boundary) and
 Z-type checks on vertices (row v of hz = vertex star), so d_x is the
 primal-graph distance and d_z the dual-graph distance.  :func:`build_css`
 builds both matrices from the darts of the complex's index, and nothing else
-builds check rows.  The code carries no logical operators:
+builds check rows; :func:`verify_stabilizers` reads their columns through
+:func:`atqc.binmat.columns_of`.  The code carries no logical operators:
 :func:`atqc.homology.cycle_cocycle_bases` gives them, primal cycles for
 logical X and dual cycles for logical Z, paired as the identity.
 """
@@ -16,7 +17,7 @@ from collections import Counter
 from itertools import chain, product
 from typing import IO
 
-from .binmat import BinaryMatrix, support
+from .binmat import BinaryMatrix, columns_of, support
 from .complexes import SurfaceComplex
 from .errors import IntegrityError, InputError
 
@@ -76,17 +77,6 @@ def _find(up: list[int], i: int) -> int:
     while up[i] != i:
         up[i] = i = up[up[i]]
     return i
-
-
-def columns_of(m: BinaryMatrix) -> list[list[int]]:
-    """Each column of m as its rows, ascending: linear in the entries, unlike a transpose."""
-    out = [[] for _ in range(m.cols)]
-    for i, word in enumerate(m.data):
-        while word:  # top bit first, as in transpose: clearing it shortens word
-            j = word.bit_length() - 1
-            out[j].append(i)
-            word ^= 1 << j
-    return out
 
 
 def incidence_rank(columns: list[list[int]], edge_ids: tuple[int, ...]) -> int:

@@ -1,10 +1,11 @@
 import itertools
+import random
 import subprocess
 import sys
 
 import pytest
 
-from atqc.binmat import BinaryMatrix, RowBasis, parity, support
+from atqc.binmat import BinaryMatrix, RowBasis, columns_of, parity, support
 from atqc.homology import boundary_matrices
 from atqc.torus import SquareTorusSpec, build_square_torus
 
@@ -32,31 +33,67 @@ def test_constructor_masks_row_words_to_the_column_count():
         BinaryMatrix(2, 3, [0b101])
 
 
+def edge_shapes():
+    """No rows, no columns, 1 x 1, and seeded random matrices of up to 7 x 9."""
+    rng = random.Random(23)
+    out = [BinaryMatrix(0, 4), BinaryMatrix(3, 0), BinaryMatrix(0, 0)]
+    out += [BinaryMatrix(1, 1, [0]), BinaryMatrix(1, 1, [1])]
+    for _ in range(40):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 9)
+        out.append(BinaryMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)]))
+    return out
+
+
+def dense_columns(m):
+    """The rows set in each column of m, ascending, read off its 0/1 rows."""
+    rows = dense(m)
+    return [[i for i in range(m.rows) if rows[i][j]] for j in range(m.cols)]
+
+
 def test_transpose_involution():
     m = BinaryMatrix(2, 4, [0b1011, 0b1100])
     assert m.transpose().transpose() == m
     assert dense(m.transpose())[3] == [1, 1]
+    assert columns_of(m) == [[0], [0], [1], [0, 1]]
+    for m in edge_shapes():
+        t = m.transpose()
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert dense(t) == [[int(i in col) for i in range(m.rows)] for col in dense_columns(m)]
+        assert t.transpose() == m
+        assert columns_of(m) == dense_columns(m)
 
 
 def test_matmul_against_dense_arithmetic():
     a = BinaryMatrix(2, 3, [0b101, 0b111])
     b = BinaryMatrix(3, 2, [0b11, 0b10, 0b01])
-    product = a @ b
-    dense_a, dense_b = dense(a), dense(b)
-    expected = [
-        [sum(dense_a[i][k] * dense_b[k][j] for k in range(3)) % 2 for j in range(2)]
-        for i in range(2)
-    ]
-    assert dense(product) == expected
+    rng = random.Random(29)
+    pairs = [(a, b)]
+    for left in edge_shapes():
+        k = rng.choice([0, 1, rng.randint(2, 8)])
+        right = BinaryMatrix(left.cols, k, [rng.getrandbits(k) for _ in range(left.cols)])
+        pairs.append((left, right))
+    for a, b in pairs:
+        product = a @ b
+        dense_a, dense_b = dense(a), dense(b)
+        expected = [
+            [sum(dense_a[i][k] * dense_b[k][j] for k in range(a.cols)) % 2 for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert dense(product) == expected
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        BinaryMatrix(2, 3) @ BinaryMatrix(2, 3)
 
 
 def test_kernel_vectors_annihilate():
-    m = BinaryMatrix(3, 5, [0b10011, 0b01110, 0b11101])
-    basis = m.kernel_basis()
-    assert len(basis) == 5 - m.rank()
-    for v in basis:
-        assert annihilates(m, v)
-    assert RowBasis(basis).rank == len(basis)
+    for m in [BinaryMatrix(3, 5, [0b10011, 0b01110, 0b11101])] + edge_shapes():
+        basis = m.kernel_basis()
+        assert len(basis) == m.cols - m.rank()
+        for v in basis:
+            assert annihilates(m, v)
+        assert RowBasis(basis).rank == len(basis)
+        # and the kernel is all of {v : M v = 0}, counted by enumeration
+        assert len(brute_force_span(basis)) == sum(annihilates(m, v) for v in range(1 << m.cols))
 
 
 def test_square_torus_d2_rank_by_subset_enumeration():
@@ -115,8 +152,6 @@ def brute_force_span(rows):
 
 
 def test_rank_kernel_membership_against_enumeration():
-    import random
-
     rng = random.Random(7)
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
@@ -135,12 +170,13 @@ def test_rank_kernel_membership_against_enumeration():
 
 def test_kernel_basis_vectors_each_own_one_free_column():
     # the oracle's size bound: a sum of j basis vectors weighs at least j
-    import random
-
     rng = random.Random(12)
+    mats = edge_shapes()
     for _ in range(200):
         m, n = rng.randint(1, 10), rng.randint(1, 16)
-        mat = BinaryMatrix(m, n, [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)])
+        mats.append(BinaryMatrix(m, n, [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(m)]))
+    for mat in mats:
+        n = mat.cols
         # column c is a pivot when a row-space vector has its highest bit there
         ranks = [RowBasis(w >> c for w in mat.data).rank for c in range(n + 1)]
         pivots = sum(1 << c for c in range(n) if ranks[c] > ranks[c + 1])

@@ -202,6 +202,49 @@ def test_gluings_dual_of_dual_and_roundtrip(gluings):
         assert complex_to_dict(back) == complex_to_dict(c)
 
 
+def read_order(c):
+    """Each face's edge cycle in the order validation read it: phi from its first dart."""
+    ix, out, lo = c.index, {}, 0
+    for f in ix.face_ids:
+        cyc, d, walk = c.faces[f], lo, []
+        while not walk or d != lo:
+            walk.append(cyc[d - lo])
+            d = ix.phi[d]
+        out[f] = tuple(walk)
+        lo += len(cyc)
+    return out
+
+
+def test_faces_written_as_read_load_as_stored(gluings, corpus):
+    # a face direction key would add nothing to a round trip: every accepted map,
+    # written with each face in its read order, reads every face as stored and
+    # keeps its rotations (up to the dart each ring starts at)
+    rng = random.Random(5)
+    reflected = copy.deepcopy([doc for doc, _ in gluings])
+    for doc in reflected:
+        for item in doc["faces"]:
+            if rng.random() < 0.5:
+                item["edge_cycle"].reverse()
+        for item in doc["edges"]:
+            if rng.random() < 0.5:
+                item["ends"].reverse()
+    merges = [c for seed in range(41, 61) for c in random_merges(seed)]
+    maps = corpus + merges + [dual_complex(c) for c in merges]
+    maps += [complex_from_dict(doc) for doc in reflected]
+    assert len(maps) == len(corpus) + 2 * 240 + GLUING_COUNT
+    assert sum(read_order(c) != c.faces for c in maps) > GLUING_COUNT // 10
+    for c in maps:
+        doc = complex_to_dict(c)
+        read = read_order(c)
+        for item in doc["faces"]:
+            item["edge_cycle"] = list(read[item["id"]])
+        back = complex_from_dict(doc)
+        assert read_order(back) == back.faces == read, c.label
+        assert {v: rotate_to_min(r) for v, r in back.rotations.items()} == {
+            v: rotate_to_min(r) for v, r in c.rotations.items()
+        }, c.label
+
+
 def test_gluings_search_reference_and_oracle_agree(gluings):
     for doc, _ in gluings:
         c = complex_from_dict(doc)
