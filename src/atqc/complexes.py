@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import itemgetter
-from typing import IO, Iterable, Mapping
+from typing import IO
 
 from .errors import ComplexError
 
@@ -107,6 +108,10 @@ class SurfaceComplex:
         if not isinstance(label, str):
             raise ComplexError("label must be a string")
         self.genus, self.label = _as_id(genus, "genus"), label
+        for name, value, kind in (("vertices", vertices, Iterable), ("edges", edges, Mapping),
+                                  ("faces", faces, Mapping)):
+            if not isinstance(value, kind):
+                raise ComplexError(f"{name} must be {'a mapping' if kind is Mapping else 'iterable'}")
         self.vertices = tuple(vertices)
         try:
             self.edges = dict(zip(edges, map(tuple, edges.values())))
@@ -158,9 +163,10 @@ class SurfaceComplex:
             raise ComplexError("vertex ids must be hashable") from None
         if len(vpos) != len(vertex_ids):
             raise ComplexError("duplicate vertex ids")
+        ends = [None] * len(edge_ids)  # dense vertex numbers, by edge bit
         try:  # KeyError: an unknown end; TypeError: one that cannot be hashed
             for e, (u, v) in self.edges.items():
-                vpos[u], vpos[v]  # looked up only to reject an unknown end
+                ends[bit[e]] = vpos[u], vpos[v]
         except (KeyError, TypeError):
             raise ComplexError(f"edge {e} references unknown vertex") from None
         face_ids = _sorted_ids(self.faces, "face")
@@ -194,11 +200,25 @@ class SurfaceComplex:
         # tail/head: the vertices each slot runs between along its face's walk;
         # an alternating walk (x y x y ...) of four or more slots runs either way
         alternating, tail, head = [], [], []
-        for f in face_ids:
-            walk = self._face_walk(f)
-            alternating.append(len(walk) > 3 and walk == walk[:2] * (len(walk) // 2))
-            tail += walk
-            head += walk[1:] + walk[:1]
+        for f, lo, hi in zip(face_ids, first, first[1:]):
+            for x in ends[slot_bit[lo]]:
+                walk = [x]
+                for b in slot_bit[lo:hi]:
+                    u, v = ends[b]
+                    if x != u and x != v:
+                        break
+                    x ^= u ^ v  # the edge's other end
+                    walk.append(x)
+                if len(walk) > hi - lo and x == walk[0]:  # every slot met, and closed
+                    break
+            else:
+                raise ComplexError(
+                    f"face {f} edge cycle is not a closed edge path "
+                    "(consecutive edges must chain through shared vertices)"
+                )
+            alternating.append(len(walk) > 4 and walk[:-1] == walk[:2] * (len(walk) // 2))
+            tail += walk[:-1]
+            head += walk[1:]
         # orient: across every non-loop edge, the two slots run opposite ways;
         # flip[i] runs face i against its walk, and each piece, a set of
         # faces that only loops tie to the rest, starts at its lowest face
@@ -235,13 +255,13 @@ class SurfaceComplex:
             phi = []
             for r, lo, hi in zip(rev, first, first[1:]):
                 phi += [hi - 1, *range(lo, hi - 1)] if r else [*range(lo + 1, hi), lo]
-            rings, owner = [], [None] * len(alpha)
+            rings, owner = [], [-1] * len(alpha)  # -1: not yet in a ring
             for d in [d for d, a in enumerate(alpha) if d < a] + list(range(len(alpha))):
-                if owner[d] is not None:
+                if owner[d] >= 0:
                     continue
                 v = head[d] if flip[face_of[d]] else tail[d]
                 ring, x = [], d
-                while owner[x] is None:
+                while owner[x] < 0:
                     owner[x] = v
                     ring.append(edge_of[x])
                     x = phi[alpha[x]]
@@ -270,6 +290,7 @@ class SurfaceComplex:
                 reverse(faces, turn)
         rotations: dict[int, tuple[int, ...]] = {}
         for v, ring in rings:
+            v = vertex_ids[v]
             if v in rotations:
                 hint = "; the faces no vertex orients were also read reversed" if moves else ""
                 raise ComplexError(f"vertex {v} is pinched: it owns more than one rotation{hint}")
@@ -292,35 +313,10 @@ class SurfaceComplex:
                 f"Euler characteristic {chi} inconsistent with genus {self.genus} "
                 f"(expected {2 - 2 * self.genus})"
             )
-        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, edge_dart, alpha, phi,
-                                  list(map(vpos.__getitem__, owner)), face_of)
-        self.degenerate_faces = tuple(
-            f for f in face_ids if len(set(self.faces[f])) < len(self.faces[f])
-        )
-
-    def _face_walk(self, face: int) -> tuple[int, ...]:
-        """Vertex sequence x_0..x_{k-1} with edge t joining x_t, x_{t+1}."""
-        cyc = self.faces[face]
-        for start in self.edges[cyc[0]]:
-            walk = [start]
-            x = start
-            ok = True
-            for e in cyc:
-                u, v = self.edges[e]
-                if x == u:
-                    x = v
-                elif x == v:
-                    x = u
-                else:
-                    ok = False
-                    break
-                walk.append(x)
-            if ok and x == walk[0]:
-                return tuple(walk[:-1])
-        raise ComplexError(
-            f"face {face} edge cycle is not a closed edge path "
-            "(consecutive edges must chain through shared vertices)"
-        )
+        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, edge_dart, alpha, phi, owner, face_of)
+        # a face repeats an edge iff it holds both of that edge's slots
+        self.degenerate_faces = tuple(face_ids[i] for i in sorted(
+            {face_of[d] for d in edge_dart if face_of[d] == face_of[alpha[d]]}))
 
 
 def dual_complex(c: SurfaceComplex) -> SurfaceComplex:

@@ -18,6 +18,7 @@ def run_cli(*args, stdin=None):
         input=stdin,
         capture_output=True,
         text=True,
+        timeout=300,
     )
 
 
@@ -148,7 +149,8 @@ def test_undecodable_json_exits_2_without_a_traceback(tmp_path, command, data, v
     bad.write_bytes(data)
     args, stdin = ([str(bad)], None) if via == "path" else (["-"], data)
     proc = subprocess.run(
-        [sys.executable, "-m", "atqc", command, *args], input=stdin, capture_output=True
+        [sys.executable, "-m", "atqc", command, *args], input=stdin, capture_output=True,
+        timeout=300,
     )
     assert proc.returncode == 2
     assert proc.stdout == b""

@@ -66,6 +66,11 @@ ONE_VERTEX = {"genus": 1, "vertices": [0], "edges": {0: (0, 0), 1: (0, 0)},
         ({"vertices": [[0]]}, "vertex ids must be hashable"),
         ({"faces": {0: (0, 1, 0, [1])}}, "face 0 references unknown edge [1]"),
         ({"edges": {0: ([0], 0), 1: (0, 0)}}, "edge 0 references unknown vertex"),
+        ({"vertices": 5}, "vertices must be iterable"),
+        ({"edges": [(0, 0), (0, 0)]}, "edges must be a mapping"),
+        ({"edges": None}, "edges must be a mapping"),
+        ({"faces": [(0, 1, 0, 1)]}, "faces must be a mapping"),
+        ({"faces": None}, "faces must be a mapping"),
     ],
 )
 def test_constructor_rejects_with_complex_error(change, message):

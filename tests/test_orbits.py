@@ -12,7 +12,7 @@ import random
 import pytest
 from gluings import random_gluing
 from reference_search import all_roots_shortest_nontrivial_cycle
-from test_irregular import random_merges
+from test_irregular import face_walk, random_merges
 
 from atqc.complexes import SurfaceComplex, complex_from_dict
 from atqc.distance import map_orbits, shortest_nontrivial_cycle
@@ -172,7 +172,7 @@ def double_cover(c, cocycle, interleave):
     for f, cycle in c.faces.items():
         for start in (0, 1):
             s, lifted = start, []
-            for x, e in zip(c._face_walk(f), cycle):
+            for x, e in zip(face_walk(c, f), cycle):
                 lifted.append(lift(e, s if x == c.edges[e][0] else s ^ (e in voltage)))
                 s ^= e in voltage
             faces[lift(f, start)] = lifted

@@ -5,17 +5,20 @@ rotations of accepted complexes, their duals and their JSON round trips are
 checked against random orientable gluings whose vertex cycles are known.
 """
 import copy
+import hashlib
 import io
 import itertools
 import json
 import random
+import subprocess
+import sys
 
 import pytest
 from gluings import pinch_two_pairs, random_gluing
 from reference_search import reference_shortest_nontrivial_cycle
 from test_complexes import normalize_cycle, roundtrip
 from test_index import face_rows
-from test_irregular import one_vertex_torus, random_merges
+from test_irregular import one_vertex_torus, random_merges, two_tori_sharing_two_vertices
 
 from atqc import cli
 from atqc.complexes import (
@@ -215,22 +218,27 @@ def read_order(c):
     return out
 
 
-def test_faces_written_as_read_load_as_stored(gluings, corpus):
-    # a face direction key would add nothing to a round trip: every accepted map,
-    # written with each face in its read order, reads every face as stored and
-    # keeps its rotations (up to the dart each ring starts at)
-    rng = random.Random(5)
-    reflected = copy.deepcopy([doc for doc, _ in gluings])
-    for doc in reflected:
+def reflected(docs, rng):
+    """Copies of the documents with faces reversed and ends swapped at random."""
+    docs = copy.deepcopy(docs)
+    for doc in docs:
         for item in doc["faces"]:
             if rng.random() < 0.5:
                 item["edge_cycle"].reverse()
         for item in doc["edges"]:
             if rng.random() < 0.5:
                 item["ends"].reverse()
+    return docs
+
+
+def test_faces_written_as_read_load_as_stored(gluings, corpus):
+    # a face direction key would add nothing to a round trip: every accepted map,
+    # written with each face in its read order, reads every face as stored and
+    # keeps its rotations (up to the dart each ring starts at)
+    reflected_gluings = reflected([doc for doc, _ in gluings], random.Random(5))
     merges = [c for seed in range(41, 61) for c in random_merges(seed)]
     maps = corpus + merges + [dual_complex(c) for c in merges]
-    maps += [complex_from_dict(doc) for doc in reflected]
+    maps += [complex_from_dict(doc) for doc in reflected_gluings]
     assert len(maps) == len(corpus) + 2 * 240 + GLUING_COUNT
     assert sum(read_order(c) != c.faces for c in maps) > GLUING_COUNT // 10
     for c in maps:
@@ -473,3 +481,99 @@ def test_mutated_documents_raise_only_complex_error(corpus):
         except ComplexError:
             rejected += 1
     assert rejected > 3000
+
+
+# -- what validation reads ---------------------------------------------------
+
+
+def reading(doc):
+    """The dense index, rotations and degenerate faces a document loads as,
+    or the message it is refused with."""
+    try:
+        c = complex_from_dict(doc)
+    except ComplexError as exc:
+        return str(exc)
+    ix = c.index
+    return (ix.edge_ids, ix.bit, ix.vertex_ids, ix.face_ids, ix.edge_dart, ix.alpha, ix.phi,
+            ix.dart_vertex, ix.dart_face, c.rotations, c.degenerate_faces)
+
+
+def reading_corpus(gluings, corpus):
+    """About 3,000 seeded documents: the test corpus, the hand-made faults,
+    the gluings with reflected and pinched copies, merges with their duals,
+    and damaged copies of the small ones."""
+    rng = random.Random(24)
+    docs = [complex_to_dict(c) for c in corpus + [one_vertex_torus()]]
+    docs += [two_tori_sharing_two_vertices(), pinched_torus_doc()]
+    docs += [twisted_grid_doc(side, twist) for side in (3, 4, 5) for twist in (True, False)]
+    glued = [doc for doc, _ in gluings]
+    small = [doc for doc in docs + glued if len(doc["edges"]) <= 48]
+    docs += glued + reflected(glued, rng)
+    docs += [p for p in (pinch_two_pairs(doc, rng) for doc in glued) if p is not None]
+    merges = [c for seed in (41, 42, 43, 44) for c in random_merges(seed)]
+    docs += [complex_to_dict(c) for c in merges + [dual_complex(c) for c in merges]]
+    for _ in range(2300):
+        doc = copy.deepcopy(rng.choice(small))
+        for _ in range(rng.randint(1, 3)):
+            mutate(doc, rng)
+        docs.append(doc)
+    return docs
+
+
+# SHA-256 of every reading of reading_corpus, pinned when the reader moved to
+# dense numbers; a change to any reading or message must update it on purpose
+READINGS_SHA256 = "d18b6e399edc4e7620390c7b6636c8b2685f76f87d390b965b69870593379b87"
+
+
+def test_readings_are_pinned(gluings, corpus):
+    docs = reading_corpus(gluings, corpus)
+    readings = list(map(reading, docs))
+    assert len(docs) > 3000 and sum(isinstance(r, str) for r in readings) > 1500
+    digest = hashlib.sha256()
+    for r in readings:
+        digest.update(repr(r).encode())
+    assert digest.hexdigest() == READINGS_SHA256
+
+
+def relabelled(doc, new):
+    """The document's complex with every id x renamed new(x)."""
+    return SurfaceComplex(
+        doc["genus"],
+        [new(v) for v in doc["vertices"]],
+        {new(item["id"]): tuple(map(new, item["ends"])) for item in doc["edges"]},
+        {new(item["id"]): tuple(map(new, item["edge_cycle"])) for item in doc["faces"]},
+        doc["label"],
+    )
+
+
+@pytest.mark.parametrize("new", [lambda x: f"id{x:06d}", lambda x: (x // 7, -1, x % 7)],
+                         ids=["str", "tuple"])
+def test_readings_ignore_order_preserving_relabelling(new, gluings, corpus):
+    merges = [c for seed in (41, 42, 43) for c in random_merges(seed)]
+    docs = [complex_to_dict(c) for c in corpus + merges]
+    docs += reflected([doc for doc, _ in gluings], random.Random(6))
+    for doc in docs:
+        c, r = complex_from_dict(doc), relabelled(doc, new)
+        a, b = c.index, r.index
+        assert (b.edge_dart, b.alpha, b.phi, b.dart_vertex, b.dart_face) == (
+            a.edge_dart, a.alpha, a.phi, a.dart_vertex, a.dart_face), doc["label"]
+        assert (b.vertex_ids, b.edge_ids, b.face_ids) == tuple(
+            tuple(map(new, ids)) for ids in (a.vertex_ids, a.edge_ids, a.face_ids))
+        assert r.rotations == {
+            new(v): tuple(map(new, ring)) for v, ring in c.rotations.items()}, doc["label"]
+        assert r.degenerate_faces == tuple(map(new, c.degenerate_faces))
+
+
+def test_the_one_vertex_torus_loads_with_its_vertex_named_none():
+    # the one-vertex torus relabelled, in a child process with a timeout and an
+    # address-space cap, so that an id read as the mark of an unowned dart
+    # fails here instead of hanging
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from atqc.complexes import SurfaceComplex\n"
+        "c = SurfaceComplex(1, [None], {0: (None, None), 1: (None, None)}, {0: (0, 1, 0, 1)})\n"
+        "print(c.rotations, c.index.dart_vertex, c.degenerate_faces)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (0, "{None: (0, 1, 0, 1)} [0, 0, 0, 0] (0,)\n")
