@@ -10,10 +10,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 
-def parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
 class BinaryMatrix:
     """A rows x cols matrix over GF(2)."""
 

@@ -51,10 +51,10 @@ class ComplexIndex:
     in every edge mask) is the only bridge from ids.  The darts are the face
     slots in (face id, position) order: ``alpha`` pairs an edge's two, ``phi``
     steps along a face as read, ``dart_vertex`` and ``dart_face`` give the
-    vertex whose rotation holds a dart and its face.  An edge's incidence is
-    held once, as its first slot ``edge_dart[e]`` and that dart's alpha.
+    vertex whose rotation holds a dart and its face.  ``ends[0][e]`` and
+    ``ends[1][e]`` are edge e's stored ends and the faces of its two slots.
     Validation builds these; the index holds no face boundary or vertex
-    star, which :func:`atqc.stabilizer.build_css` builds from the darts as
+    star, which :func:`atqc.stabilizer.build_css` builds from ``ends`` as
     check rows on request.  ``bases`` and ``sides`` are filled on first use
     by :mod:`atqc.homology`, ``orbits`` by :mod:`atqc.distance`.  ``sides[0]``
     (vertex graph) and ``sides[1]`` (face adjacency) are each (node ->
@@ -68,7 +68,7 @@ class ComplexIndex:
     bit: dict[int, int]
     vertex_ids: tuple[int, ...]
     face_ids: tuple[int, ...]
-    edge_dart: list[int]
+    ends: tuple[list, list]
     alpha: list[int]
     phi: list[int]
     dart_vertex: list[int]
@@ -112,16 +112,21 @@ class SurfaceComplex:
                                   ("faces", faces, Mapping)):
             if not isinstance(value, kind):
                 raise ComplexError(f"{name} must be {'a mapping' if kind is Mapping else 'iterable'}")
-        self.vertices = tuple(vertices)
+        try:
+            self.vertices = tuple(vertices)
+        except TypeError:  # an __iter__ that returns no iterator
+            raise ComplexError("vertices must be iterable") from None
         try:
             self.edges = dict(zip(edges, map(tuple, edges.values())))
             self.faces = dict(zip(faces, map(tuple, faces.values())))
         except TypeError:  # name the first edge, else face, that is not a sequence
-            bad = [f"{kind} {k}" for kind, items in (("edge", edges), ("face", faces))
-                   for k, v in items.items() if not isinstance(v, Iterable)]
-            if not bad:
-                raise
-            raise ComplexError(f"{bad[0]} is not a sequence of ids") from None
+            for kind, items in (("edge", edges), ("face", faces)):
+                for k, v in items.items():
+                    try:
+                        tuple(v)
+                    except TypeError:
+                        raise ComplexError(f"{kind} {k} is not a sequence of ids") from None
+            raise ComplexError("edges and faces must map hashable ids to sequences of ids") from None
         self._validate()
 
     # -- basic accessors ---------------------------------------------------
@@ -313,10 +318,11 @@ class SurfaceComplex:
                 f"Euler characteristic {chi} inconsistent with genus {self.genus} "
                 f"(expected {2 - 2 * self.genus})"
             )
-        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, edge_dart, alpha, phi, owner, face_of)
+        face_ends = [(face_of[d], face_of[alpha[d]]) for d in edge_dart]
+        self.index = ComplexIndex(edge_ids, bit, vertex_ids, face_ids, (ends, face_ends), alpha, phi,
+                                  owner, face_of)
         # a face repeats an edge iff it holds both of that edge's slots
-        self.degenerate_faces = tuple(face_ids[i] for i in sorted(
-            {face_of[d] for d in edge_dart if face_of[d] == face_of[alpha[d]]}))
+        self.degenerate_faces = tuple(face_ids[f] for f in sorted({f for f, g in face_ends if f == g}))
 
 
 def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
@@ -326,11 +332,10 @@ def dual_complex(c: SurfaceComplex) -> SurfaceComplex:
     of a vertex is its rotation, so every dual face runs the same way round.
     """
     ix = c.index
-    face = [ix.face_ids[i] for i in ix.dart_face]
     return SurfaceComplex(
         genus=c.genus,
         vertices=ix.face_ids,
-        edges={e: (face[d], face[ix.alpha[d]]) for e, d in zip(ix.edge_ids, ix.edge_dart)},
+        edges={e: (ix.face_ids[f], ix.face_ids[g]) for e, (f, g) in zip(ix.edge_ids, ix.ends[1])},
         faces=c.rotations,
         label=f"dual({c.label})" if c.label else "dual",
     )

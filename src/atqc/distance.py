@@ -123,7 +123,7 @@ def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[in
     """(weight, witness mask) of the shortest nontrivial cycle, of the dual if ``dual``."""
     cocycle_basis(c, dual)  # certifies the bases, and fills ix.sides with them
     ix = c.index
-    adjacency, sig_delta = ix.sides[dual]
+    (adjacency, sig_delta), ends = ix.sides[dual], ix.ends[dual]
     n_v = len(adjacency)
     best_weight = len(ix.edge_ids) + 1  # heavier than any cycle
     best_witness = None
@@ -131,7 +131,6 @@ def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[in
         depth = [-1] * n_v
         sig = [0] * n_v  # homology signature of the tree path from the root
         up_edge = [-1] * n_v
-        up_vertex = [-1] * n_v
         depth[root] = 0
         frontier = [root]
         d = 0
@@ -145,7 +144,7 @@ def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[in
                     if dw < 0:
                         depth[w] = d + 1
                         sig[w] = su ^ sig_delta[eidx]
-                        up_edge[w], up_vertex[w] = eidx, u
+                        up_edge[w] = eidx
                         nxt.append(w)
                     # a non-tree edge closes a fundamental cycle; an edge back to a
                     # shallower vertex is u's tree edge or was met from that end
@@ -154,9 +153,10 @@ def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[in
                         # the mask is no heavier than its walk: strictly lighter
                         best_witness = 1 << eidx
                         for x in (u, w):
-                            while up_edge[x] >= 0:
-                                best_witness ^= 1 << up_edge[x]
-                                x = up_vertex[x]
+                            while (e := up_edge[x]) >= 0:
+                                best_witness ^= 1 << e
+                                a, b = ends[e]
+                                x ^= a ^ b  # the other end of a tree edge
                         best_weight = best_witness.bit_count()
             frontier = nxt
             d += 1

@@ -4,14 +4,14 @@ Everything here reads the complex's :class:`~atqc.complexes.ComplexIndex`.
 Edge sets are packed as integers over its dense edge order (ascending
 edge ids); :func:`edges_to_mask`/:func:`mask_to_edges` convert at the
 boundary, and an unknown id or a mask bit outside that order is an
-InputError.  Both graphs and :func:`is_cycle` read the darts: edge e's ends
-are the ``dart_vertex`` and its faces the ``dart_face`` of ``edge_dart[e]``
-and its alpha.  The homology bases are computed on first use, checked once,
+InputError.  Both graphs and :func:`is_cycle` read the index's endpoint
+arrays: ``ends[0][e]`` holds edge e's two vertices, ``ends[1][e]`` its two
+faces.  The homology bases are computed on first use, checked once,
 and cached on that index with both graphs and their signature words
-(``sides``), which the distance search reads.  :func:`boundary_matrices`
-takes d1 = hz and d2 = hx^T from :func:`~atqc.stabilizer.build_css` on each
-request and caches nothing: no library code uses them, they are the
-reference the tests eliminate against.
+(``sides``), which the distance search and :func:`homology_signature`
+read.  :func:`boundary_matrices` takes d1 = hz and d2 = hx^T from
+:func:`~atqc.stabilizer.build_css` on each request and caches nothing: no
+library code uses them, they are the reference the tests eliminate against.
 The bases come from the tree/co-tree construction: a spanning
 tree of the primal graph plus a spanning tree of the dual graph on the
 remaining edges leave exactly 2g edges; each leftover edge closes one
@@ -43,11 +43,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import compress
 from operator import xor
 from typing import Iterable
 
-from .binmat import BinaryMatrix, parity, support
+from .binmat import BinaryMatrix, support
 from .complexes import SurfaceComplex
 from .errors import IntegrityError, InputError
 from .stabilizer import build_css
@@ -108,16 +108,14 @@ def betti1(c: SurfaceComplex) -> int:
     return 2 * c.genus
 
 
-def _graph(cell: list, darts: tuple[list, list], nodes: int) -> tuple[tuple[list, list], list]:
-    """(tails, heads) and node -> [(edge, neighbour)] of the edges whose two
-    darts are ``darts``, each at node ``cell[dart]``; edges ascending, a loop once."""
-    tails, heads = ends = tuple(list(map(cell.__getitem__, side)) for side in darts)
+def _graph(ends: list, nodes: int) -> list:
+    """node -> [(edge, neighbour)] of the edges with these ``ends``; edges ascending, a loop once."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(nodes)]
-    for e, u, v in zip(count(), tails, heads):
+    for e, (u, v) in enumerate(ends):
         adjacency[u].append((e, v))
         if u != v:
             adjacency[v].append((e, u))
-    return ends, adjacency
+    return adjacency
 
 
 def _bfs_tree(adjacency: list, skip=()) -> list:
@@ -137,18 +135,18 @@ def _bfs_tree(adjacency: list, skip=()) -> list:
     return up
 
 
-def _close(x: int, bit: int, ends: tuple[list, list], up: list, words: list) -> int:
+def _close(x: int, bit: int, ends: list, up: list, words: list) -> int:
     """Edge x closed by the tree paths from its two ends, as a mask (a shared
     prefix cancels); toggles ``bit`` in the word of every edge it walks."""
     mask = 1 << x
     words[x] ^= bit
-    tails, heads = ends
-    for y in (tails[x], heads[x]):
+    for y in ends[x]:
         while y:
             e = up[y]
             mask ^= 1 << e
             words[e] ^= bit
-            y ^= tails[e] ^ heads[e]  # the other end of a tree edge, never a loop
+            u, v = ends[e]
+            y ^= u ^ v  # the other end of a tree edge, never a loop
     return mask
 
 
@@ -164,9 +162,8 @@ def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, 
     ix = c.index
     if ix.bases is not None:
         return ix.bases
-    darts = ix.edge_dart, list(map(ix.alpha.__getitem__, ix.edge_dart))
-    ends, graph = _graph(ix.dart_vertex, darts, len(ix.vertex_ids))
-    dual_ends, dual_graph = _graph(ix.dart_face, darts, len(ix.face_ids))
+    ends, dual_ends = ix.ends
+    graph, dual_graph = _graph(ends, len(ix.vertex_ids)), _graph(dual_ends, len(ix.face_ids))
     tree = _bfs_tree(graph)
     if None in tree:
         raise IntegrityError("primal graph is not connected")
@@ -185,7 +182,7 @@ def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, 
     cocycles = [_close(x, 1 << i, dual_ends, cotree, words[0]) for i, x in enumerate(leftover)]
     cycles = [_close(x, 1 << i, ends, tree, words[1]) for i, x in enumerate(leftover)]
     sums = [0] * len(dual_graph)
-    for f, g, word in compress(zip(*dual_ends, words[0]), words[0]):
+    for (f, g), word in compress(zip(dual_ends, words[0]), words[0]):
         sums[f] ^= word
         sums[g] ^= word  # a face-adjacency loop (f == g) cancels, as in its check row
     for f, odd in enumerate(sums):
@@ -210,20 +207,16 @@ def cocycle_basis(c: SurfaceComplex, dual: bool = False) -> tuple[int, ...]:
 
 
 def is_cycle(c: SurfaceComplex, mask: int, dual: bool = False) -> bool:
-    """Even at every vertex (face if dual), as named by each edge's two darts."""
-    ix, odd = c.index, set()
-    cell = ix.dart_face if dual else ix.dart_vertex
-    for d in map(ix.edge_dart.__getitem__, support(_edge_set(c, mask))):
-        odd ^= {cell[d]} ^ {cell[ix.alpha[d]]}
+    """Even at every vertex (face if dual), as named by each edge's two ends."""
+    odd = set()
+    for u, v in map(c.index.ends[1 if dual else 0].__getitem__, support(_edge_set(c, mask))):
+        odd ^= {u} ^ {v}
     return not odd
 
 
 def homology_signature(c: SurfaceComplex, cycle: int, dual: bool = False) -> int:
-    """Pairing bits of a cycle against the cocycle basis; 0 iff a boundary."""
+    """Pairing bits of a cycle against the cocycle basis, its edges' words XORed; 0 iff a boundary."""
     if not is_cycle(c, cycle, dual):
         raise InputError("edge set is not a cycle (odd incidence at a vertex, or a face if dual)")
-    sig = 0
-    for i, coc in enumerate(cocycle_basis(c, dual)):
-        if parity(cycle & coc):
-            sig |= 1 << i
-    return sig
+    cocycle_basis(c, dual)  # certifies the bases, and fills ix.sides with their words
+    return reduce(xor, map(c.index.sides[1 if dual else 0][1].__getitem__, support(cycle)), 0)

@@ -3,7 +3,7 @@
 Convention: X-type checks sit on faces (row f of hx = face boundary) and
 Z-type checks on vertices (row v of hz = vertex star), so d_x is the
 primal-graph distance and d_z the dual-graph distance.  :func:`build_css`
-builds both matrices from the darts of the complex's index, and nothing else
+builds both matrices from the index's endpoint arrays, and nothing else
 builds check rows; :func:`verify_stabilizers` reads their columns through
 :func:`atqc.binmat.columns_of`.  The code carries no logical operators:
 :func:`atqc.homology.cycle_cocycle_bases` gives them, primal cycles for
@@ -45,9 +45,9 @@ class CssCode:
 
 def build_css(c: SurfaceComplex) -> CssCode:
     """X checks on the faces, Z checks on the vertices; no other code builds
-    check rows.  Edge b's bit is toggled in the row of the face and of the vertex
-    of each of its two darts: a loop cancels in its vertex's row, and an edge
-    that a face runs twice cancels in that face's row.
+    check rows.  Edge b's bit is toggled in the rows of its two ends on each
+    side of the index's ``ends``: a loop cancels in its vertex's row, and an
+    edge that a face runs twice cancels in that face's row.
 
     k = 2g: validation proved a closed, connected, orientable surface with
     Euler characteristic 2 - 2g, and :func:`verify_stabilizers` re-derives
@@ -56,13 +56,13 @@ def build_css(c: SurfaceComplex) -> CssCode:
     ix = c.index
     n = len(ix.edge_ids)
     hx, hz = BinaryMatrix(len(ix.face_ids), n), BinaryMatrix(len(ix.vertex_ids), n)
-    xs, zs, face, vertex, alpha = hx.data, hz.data, ix.dart_face, ix.dart_vertex, ix.alpha
-    for b, d in enumerate(ix.edge_dart):
-        a, m = alpha[d], 1 << b
-        xs[face[d]] ^= m
-        xs[face[a]] ^= m
-        zs[vertex[d]] ^= m
-        zs[vertex[a]] ^= m
+    xs, zs = hx.data, hz.data
+    for b, ((u, v), (f, g)) in enumerate(zip(*ix.ends)):
+        m = 1 << b
+        xs[f] ^= m
+        xs[g] ^= m
+        zs[u] ^= m
+        zs[v] ^= m
     zero_rows = [f for f, row in zip(ix.face_ids, xs) if row == 0]
     warnings = (f"degenerate complex: face(s) {zero_rows} have zero X-check rows",)
     return CssCode(n=n, k=2 * c.genus, genus=c.genus, hx=hx, hz=hz, edge_ids=ix.edge_ids,

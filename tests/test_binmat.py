@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from atqc.binmat import BinaryMatrix, RowBasis, columns_of, parity, support
+from atqc.binmat import BinaryMatrix, RowBasis, columns_of, support
 from atqc.homology import boundary_matrices
 from atqc.torus import SquareTorusSpec, build_square_torus
 
@@ -14,6 +14,11 @@ def test_identity_rank_and_kernel():
     m = BinaryMatrix(4, 4, [0b0001, 0b0010, 0b0100, 0b1000])
     assert m.rank() == 4
     assert m.kernel_basis() == []
+
+
+def parity(x: int) -> int:
+    """The GF(2) sum of x's bits: the pairing of two edge sets is parity(a & b)."""
+    return x.bit_count() & 1
 
 
 def dense(m):
@@ -136,8 +141,15 @@ def test_support():
 
 
 def test_support_of_a_negative_int_is_a_value_error():
-    # in a child process with a timeout, so a regression to the endless loop fails here
-    code = "from atqc.binmat import support\ntry: support(-1)\nexcept ValueError as e: print(e)"
+    # in a child process with a timeout and an address-space cap, so a regression
+    # to the endless loop fails here and its memory cannot grow past the cap
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from atqc.binmat import support\n"
+        "try: support(-1)\n"
+        "except ValueError as e: print(e)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20)
     assert (proc.returncode, proc.stdout) == (0, "a negative int has no finite support: -1\n")
     with pytest.raises(ValueError, match="negative"):

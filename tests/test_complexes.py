@@ -1,4 +1,5 @@
 import io
+from collections.abc import Mapping
 
 import pytest
 
@@ -42,6 +43,26 @@ def test_constructor_keeps_the_ids_it_is_given():
     assert c.index.edge_ids == (0, 1.9)
 
 
+class NoIterator:
+    """Iterable by its type, but its ``__iter__`` returns no iterator."""
+
+    def __iter__(self):
+        return 0
+
+
+class UnhashableKey(Mapping):
+    """A mapping whose one key, ``[1]``, cannot be hashed."""
+
+    def __getitem__(self, key):
+        return (0, 0)
+
+    def __iter__(self):
+        return iter([[1]])
+
+    def __len__(self):
+        return 1
+
+
 # the one-vertex torus, with one argument of the constructor replaced
 ONE_VERTEX = {"genus": 1, "vertices": [0], "edges": {0: (0, 0), 1: (0, 0)},
               "faces": {0: (0, 1, 0, 1)}, "label": ""}
@@ -71,6 +92,10 @@ ONE_VERTEX = {"genus": 1, "vertices": [0], "edges": {0: (0, 0), 1: (0, 0)},
         ({"edges": None}, "edges must be a mapping"),
         ({"faces": [(0, 1, 0, 1)]}, "faces must be a mapping"),
         ({"faces": None}, "faces must be a mapping"),
+        ({"vertices": NoIterator()}, "vertices must be iterable"),
+        ({"edges": {0: (0, 0), 1: NoIterator()}}, "edge 1 is not a sequence of ids"),
+        ({"faces": {0: NoIterator()}}, "face 0 is not a sequence of ids"),
+        ({"edges": UnhashableKey()}, "edges and faces must map hashable ids to sequences of ids"),
     ],
 )
 def test_constructor_rejects_with_complex_error(change, message):

@@ -1,11 +1,13 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 from gluings import random_gluing
 
 from atqc import homology
-from atqc.binmat import RowBasis, parity
+from atqc.binmat import RowBasis
 from atqc.complexes import complex_from_dict, dual_complex
 from atqc.errors import InputError, IntegrityError
 from atqc.homology import (
@@ -19,7 +21,8 @@ from atqc.homology import (
     mask_to_edges,
 )
 from atqc.torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
-from test_index import face_rows
+from test_binmat import parity
+from test_index import face_rows, star_rows
 from test_irregular import one_vertex_torus, random_merges
 
 
@@ -202,6 +205,35 @@ def test_signature_zero_iff_boundary_exhaustive(corpus):
                     v ^= vec
             trivial = boundary_space.contains(v)
             assert (homology_signature(c, v) == 0) == trivial
+
+
+def signature_by_parity(c, cycle, dual):
+    """The per-cocycle loop homology_signature ran before it read the signature
+    words: bit i is the cycle's parity against cocycle i."""
+    sig = 0
+    for i, coc in enumerate(cocycle_basis(c, dual)):
+        if parity(cycle & coc):
+            sig |= 1 << i
+    return sig
+
+
+def test_signature_equals_the_parity_against_each_cocycle(corpus):
+    # each basis cycle, then seeded sums of them plus boundaries (face rows on
+    # the primal side, vertex stars on the dual side)
+    rng = random.Random(25)
+    for c in corpus:
+        for dual, boundaries in ((False, face_rows(c)), (True, star_rows(c))):
+            basis = cycle_cocycle_bases(c)[1 if dual else 0]
+            sums = []
+            for _ in range(20):
+                picked = [m for m in (*basis, *boundaries) if rng.getrandbits(1)]
+                sums.append(functools.reduce(operator.xor, picked, 0))
+            seen = set()
+            for cycle in (*basis, *sums):
+                sig = homology_signature(c, cycle, dual)
+                assert sig == signature_by_parity(c, cycle, dual), (c.label, dual, cycle)
+                seen.add(sig)
+            assert len(seen) > len(basis), (c.label, dual)
 
 
 def test_cocycle_basis_of_dual_pairs_with_dual_cycles():

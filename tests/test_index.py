@@ -87,15 +87,19 @@ def test_index_equals_recomputation(complexes):
         # dart d is the d-th face slot in (face id, position) order
         darts = [(f, t) for f in faces for t in range(len(c.faces[f]))]
         assert len(ix.alpha) == len(ix.dart_vertex) == len(ix.dart_face) == len(darts)
-        assert len(ix.edge_dart) == len(order)
-        for e, d in zip(order, ix.edge_dart):
+        # ends: each edge's stored ends as dense vertices, and the dense faces
+        # of its two slots in (face id, position) order
+        assert tuple(map(len, ix.ends)) == (len(order), len(order))
+        dart_of = {slot: d for d, slot in enumerate(darts)}
+        for e, (u, v), face_pair in zip(order, *ix.ends):
+            assert (ix.vertex_ids[u], ix.vertex_ids[v]) == c.edges[e], (c.label, e)
             slots = sorted(
                 (f, t) for f, cyc in c.faces.items() for t, x in enumerate(cyc) if x == e
             )
-            pair = (d, ix.alpha[d])
-            assert [darts[x] for x in pair] == slots, (c.label, e)
+            assert [ix.face_ids[i] for i in face_pair] == [f for f, _ in slots], (c.label, e)
+            pair = [dart_of[slot] for slot in slots]
+            assert ix.alpha[pair[0]] == pair[1] and ix.alpha[pair[1]] == pair[0]
             assert sorted(ix.vertex_ids[ix.dart_vertex[x]] for x in pair) == sorted(c.edges[e])
-            assert [ix.face_ids[ix.dart_face[x]] for x in pair] == [f for f, _ in slots]
         for d, (f, t) in enumerate(darts):
             assert 0 <= ix.dart_vertex[d] < len(vertices)
             assert ix.vertex_ids[ix.dart_vertex[d]] in c.edges[c.faces[f][t]]

@@ -1,0 +1,44 @@
+"""Static checks over the library's source, read with ``ast``."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "atqc"
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, in import order;
+    ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_the_library_has_modules_to_check():
+    assert {path.name for path in MODULES} >= {"complexes.py", "homology.py", "distance.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    assert unread_imports(path.read_text()) == []
+
+
+def test_an_unread_import_is_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "from itertools import compress, count as counter\n"
+        "from .binmat import parity, support\n"
+        "def f(x: int) -> int:\n"
+        "    return sum(support(x)) + len(json.dumps(list(compress([x], [1]))))\n"
+    )
+    assert unread_imports(source) == ["os", "counter", "parity"]

@@ -7,9 +7,10 @@ import re
 
 import pytest
 from gluings import random_gluing
+from test_binmat import parity
 from test_irregular import random_merges
 
-from atqc.binmat import BinaryMatrix, RowBasis, parity
+from atqc.binmat import BinaryMatrix, RowBasis
 from atqc.complexes import complex_from_dict, complex_to_dict, dual_complex, load_complex
 from atqc.errors import IntegrityError, InputError
 from atqc.homology import (
