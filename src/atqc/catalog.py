@@ -9,10 +9,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, sqrt
 from typing import IO, Iterable, Sequence
 
-from . import geometry
 from .errors import InputError
 from .geometry import SchlafliPair, census, census_counts, distance_bounds, edge_length
 from .geometry import fundamental_diameter, guarded_ceil
@@ -75,26 +74,14 @@ def toric_family_params(spec: HexTorusSpec) -> CodeParams:
     are attained is checked against the exact search per instance, never
     assumed.
     """
-    from math import sqrt
-
-    s = spec.scale
+    a, _, c = spec.lattice
+    n, s = 3 * a * c, spec.scale
     if spec.variant == APOTHEM:
-        n = 3 * s * s
-        d_x = geometry.guarded_ceil(s * sqrt(3))
-        d_z = s
+        d_x, d_z = guarded_ceil(s * sqrt(3)), s
     else:
-        n = s * s
-        d_x = s
-        d_z = geometry.guarded_ceil(s / sqrt(3))
+        d_x, d_z = s, guarded_ceil(s / sqrt(3))
     return CodeParams(
-        pair=SchlafliPair(6, 3),
-        g=1,
-        n=n,
-        k=2,
-        d_x=d_x,
-        d_z=d_z,
-        exactness=BOUND,
-        rate=Fraction(2, n),
+        pair=SchlafliPair(6, 3), g=1, n=n, k=2, d_x=d_x, d_z=d_z, exactness=BOUND, rate=Fraction(2, n)
     )
 
 

@@ -25,7 +25,7 @@ from .errors import AtqcError, DiscrepancyError, InputError
 from .geometry import SchlafliPair, classify
 from .homology import betti1
 from .stabilizer import CHECKS, EXPORT_FORMATS, JSON_FORMAT, build_css, export_checks, verify_stabilizers
-from .torus import HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
+from .torus import APOTHEM, EDGE, HexTorusSpec, SquareTorusSpec, build_hex_torus, build_square_torus
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,15 +74,12 @@ def cmd_params(args) -> int:
 
 
 def cmd_build(args) -> int:
-    chosen = [x for x in (args.square, args.hex_apothem, args.hex_edge) if x is not None]
-    if len(chosen) != 1:
-        raise InputError("choose exactly one of --square/--hex-apothem/--hex-edge")
     if args.square is not None:
         c = build_square_torus(SquareTorusSpec(args.square))
     elif args.hex_apothem is not None:
-        c = build_hex_torus(HexTorusSpec("apothem", args.hex_apothem))
+        c = build_hex_torus(HexTorusSpec(APOTHEM, args.hex_apothem))
     else:
-        c = build_hex_torus(HexTorusSpec("edge", args.hex_edge))
+        c = build_hex_torus(HexTorusSpec(EDGE, args.hex_edge))
     return _deliver(args.out, partial(save_complex, c))
 
 
@@ -172,9 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_params.set_defaults(func=cmd_params)
 
     p_build = sub.add_parser("build", help="build a torus complex as JSON")
-    p_build.add_argument("--square", type=int, metavar="L")
-    p_build.add_argument("--hex-apothem", type=int, metavar="XI")
-    p_build.add_argument("--hex-edge", type=int, metavar="LAMBDA")
+    preset = p_build.add_mutually_exclusive_group(required=True)
+    preset.add_argument("--square", type=int, metavar="L")
+    preset.add_argument("--hex-apothem", type=int, metavar="XI")
+    preset.add_argument("--hex-edge", type=int, metavar="LAMBDA")
     p_build.add_argument("--out", metavar="FILE")
     p_build.set_defaults(func=cmd_build)
 

@@ -38,7 +38,7 @@ from itertools import chain, compress, count
 from operator import itemgetter
 from typing import IO
 
-from .errors import ComplexError
+from .errors import ComplexError, _as_int
 
 
 @dataclass(eq=False)
@@ -78,12 +78,6 @@ class ComplexIndex:
     orbits: tuple | None = None
 
 
-def _as_id(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ComplexError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _sorted_ids(ids, what: str) -> tuple:
     try:
         return tuple(sorted(ids))
@@ -107,7 +101,7 @@ class SurfaceComplex:
     ):
         if not isinstance(label, str):
             raise ComplexError("label must be a string")
-        self.genus, self.label = _as_id(genus, "genus"), label
+        self.genus, self.label = _as_int(genus, "genus", ComplexError), label
         for name, value, kind in (("vertices", vertices, Iterable), ("edges", edges, Mapping),
                                   ("faces", faces, Mapping)):
             if not isinstance(value, kind):
@@ -361,7 +355,7 @@ def complex_to_dict(c: SurfaceComplex) -> dict:
 def _as_ids(values: list, what: str) -> list:
     """One type pass over an id list; the per-id scan runs only to name a bad id."""
     if not set(map(type, values)) <= {int}:
-        values = [_as_id(value, what) for value in values]
+        values = [_as_int(value, what, ComplexError) for value in values]
     return values
 
 
@@ -378,7 +372,7 @@ def _entries(items: list, kind: str, key: str, not_list: str, member: str) -> di
     for item in items:
         if not isinstance(item, dict) or set(item) != {"id", key}:
             raise ComplexError(f"{kind} entries must have exactly the keys 'id' and '{key}'")
-        i = _as_id(item["id"], f"{kind} id")
+        i = _as_int(item["id"], f"{kind} id", ComplexError)
         if i in out:
             raise ComplexError(f"duplicate {kind} id {i}")
         if not isinstance(item[key], list):

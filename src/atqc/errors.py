@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy, and the integer gate, shared across the toolkit."""
 
 
 class AtqcError(Exception):
@@ -19,3 +19,10 @@ class IntegrityError(AtqcError):
 
 class DiscrepancyError(AtqcError):
     """Search and oracle disagree; a finding, never silenced (CLI exit 3)."""
+
+
+def _as_int(value, what: str, error: type[AtqcError] = InputError) -> int:
+    """value itself if it is an int and not a bool; else error names what."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")
+    return value

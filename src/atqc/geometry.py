@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, _as_int
 
 SPHERICAL = "spherical"
 EUCLIDEAN = "euclidean"
@@ -29,7 +29,7 @@ class SchlafliPair:
     q: int
 
     def __post_init__(self):
-        if self.p < 3 or self.q < 3:
+        if min(_as_int(self.p, "Schlafli p"), _as_int(self.q, "Schlafli q")) < 3:
             raise InputError(f"Schlafli symbol needs p, q >= 3, got {{{self.p},{self.q}}}")
 
     @property
@@ -85,7 +85,7 @@ def edge_length(pair: SchlafliPair) -> float:
 
 def fundamental_diameter(g: int) -> float:
     """Distance between opposite edge-pairings of the regular 4g-gon, g >= 2."""
-    if g < 2:
+    if _as_int(g, "genus") < 2:
         raise InputError(f"fundamental diameter needs genus >= 2, got {g}")
     try:
         angle = math.pi / (4 * g)
@@ -111,7 +111,7 @@ def census_counts(pair: SchlafliPair, g: int) -> tuple[int, int, int] | None:
 def census(pair: SchlafliPair, g: int) -> TessellationCensus:
     """Exact tessellation census on genus g; requires a hyperbolic pair, g >= 2."""
     _require_hyperbolic(pair)
-    if g < 2:
+    if _as_int(g, "genus") < 2:
         raise InputError(f"census needs genus >= 2, got {g}")
     p, q = pair.p, pair.q
     c, m = p * q - 2 * p - 2 * q, 4 * (g - 1)

@@ -1,22 +1,19 @@
 """Explicit Euclidean torus complexes: {4,4} square and {6,3} hexagonal.
 
-The hexagonal builders cover both parallelogram scalings of the rhombic
-fundamental domain (interior angle pi/3):
+Either torus is the plane divided by a wrap lattice of the tiling's
+translations, spanned by (a, 0) and (b, c) in Hermite normal form over cell
+coordinates (i, j); each spec names its own as ``lattice`` = (a, b, c).  Both
+builders number the a*c cells 0 <= i < a, 0 <= j < c one way: (i, j) is
+((i - (j // c) * b) mod a) * c + j mod c.
 
-* apothem-scaled: side length L = 2*xi*a, where a = l*sqrt(3)/2 is the
-  hexagon apothem.  Wraps the honeycomb by xi steps of the two
-  center-to-center lattice vectors; xi^2 faces, 3*xi^2 edges.
-* edge-scaled: side length L = lambda*l along a hexagon edge direction.
-  The translation lattice has period 3l in an edge direction, so a tiling
-  exists only when 3 | lambda; lambda^2/3 faces, lambda^2 edges.
-
-Lattice convention: hexagon faces are indexed by axial coordinates (i, j)
-over the basis u1 = sqrt(3)*l at +30 degrees, u2 = sqrt(3)*l at -30
-degrees.  The wrap lattice is spanned by (a, 0) and (b, c) in Hermite
-normal form: (xi, 0, xi) for the apothem scaling and (3m, m, m) for the
-edge scaling, lambda = 3m.  Its cells are 0 <= i < a, 0 <= j < c, and
-(i, j) is numbered ((i - (j // c) * b) mod a) * c + j mod c.  Each face
-owns two vertices A, B and three edges, numbered from its cell.
+* square l x l, (l, 0, l): i is the row, j the column.  Cell x owns vertex
+  x, the face up and right of it, and edges x (right) and l^2 + x (up).
+* hexagonal, over the axial basis u1, u2 = sqrt(3)*l at +30 and -30 degrees;
+  each face owns two vertices A, B and three edges.  Apothem-scaled
+  (xi, 0, xi): side L = 2*xi times the apothem l*sqrt(3)/2; xi^2 faces,
+  3*xi^2 edges.  Edge-scaled (3m, m, m): side L = lambda*l along an edge,
+  where the translations have period 3l, so lambda = 3m; lambda^2/3 faces,
+  lambda^2 edges.
 
 Every builder refuses more than MAX_BUILD_EDGES edges before it allocates
 anything: each row of the check matrices hx and hz is an E-bit integer, so
@@ -28,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import SurfaceComplex
-from .errors import InputError
+from .errors import InputError, _as_int
 
 APOTHEM = "apothem"
 EDGE = "edge"
@@ -42,8 +39,13 @@ class SquareTorusSpec:
     side: int
 
     def __post_init__(self):
-        if self.side < 2:
+        if _as_int(self.side, "square torus side") < 2:
             raise InputError(f"square torus side must be >= 2, got {self.side}")
+
+    @property
+    def lattice(self) -> tuple[int, int, int]:
+        """The wrap lattice (a, b, c) = (l, 0, l)."""
+        return self.side, 0, self.side
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,7 @@ class HexTorusSpec:
     def __post_init__(self):
         if self.variant not in (APOTHEM, EDGE):
             raise InputError(f"unknown hex torus variant {self.variant!r}")
-        if self.scale < 1:
+        if _as_int(self.scale, "hex torus scale") < 1:
             raise InputError(f"hex torus scale must be >= 1, got {self.scale}")
         if self.variant == EDGE and self.scale % 3 != 0:
             raise InputError(
@@ -64,25 +66,34 @@ class HexTorusSpec:
                 f"gives a non-integer face count {self.scale}^2/3"
             )
 
+    @property
+    def lattice(self) -> tuple[int, int, int]:
+        """The wrap lattice (a, b, c): (xi, 0, xi) apothem-scaled, (3m, m, m) edge-scaled."""
+        s = self.scale
+        return (s, 0, s) if self.variant == APOTHEM else (s, s // 3, s // 3)
+
 
 def _check_edges(n: int, what: str) -> None:
     if n > MAX_BUILD_EDGES:
         raise InputError(f"{what} has n = {n} edges, above the build limit of {MAX_BUILD_EDGES}")
 
 
+def _cells(lattice: tuple[int, int, int], edges_per_cell: int, what: str):
+    """The numbering cell(i, j) of the wrap lattice, once its edges pass the cap."""
+    a, b, c = lattice
+    _check_edges(edges_per_cell * a * c, what)
+    return lambda i, j: (i - j // c * b) % a * c + j % c
+
+
 def build_square_torus(spec: SquareTorusSpec) -> SurfaceComplex:
     """Periodic l x l grid: l^2 vertices, 2l^2 edges, l^2 square faces."""
     l = spec.side
-    _check_edges(2 * l * l, f"square torus l={l}")
-
-    def cell(i, j):  # vertex (i, j), the face above it and edge (i, j) -- (i+1, j)
-        return (j % l) * l + i % l
-
-    n = l * l  # edge n + cell(i, j) is (i, j) -- (i, j+1)
+    cell = _cells(spec.lattice, 2, f"square torus l={l}")
+    n = l * l
     edges, faces = {}, {}
-    for j in range(l):
-        for i in range(l):
-            x, right, up = cell(i, j), cell(i + 1, j), cell(i, j + 1)
+    for i in range(l):
+        for j in range(l):
+            x, right, up = cell(i, j), cell(i, j + 1), cell(i + 1, j)
             edges[x] = (x, right)
             edges[n + x] = (x, up)
             faces[x] = (x, n + right, up, n + x)
@@ -101,14 +112,8 @@ def build_hex_torus(spec: HexTorusSpec) -> SurfaceComplex:
     Scales below xi = 2 produce faces that traverse an edge twice; such
     builds are flagged via ``degenerate_faces``, not rejected.
     """
-    s = spec.scale
-    # the wrap lattice spanned by (a, 0) and (b, c): xi*u1, xi*u2, or (3m, 0), (m, m)
-    a, b, c = (s, 0, s) if spec.variant == APOTHEM else (s, s // 3, s // 3)
-    _check_edges(3 * a * c, f"hex torus {spec.variant}={s}")
-
-    def cell(i, j):
-        return (i - j // c * b) % a * c + j % c
-
+    a, _, c = spec.lattice
+    cell = _cells(spec.lattice, 3, f"hex torus {spec.variant}={spec.scale}")
     # face x = cell(i, j) owns vertices A = 2x, B = 2x+1 and edges 3x (A -- B),
     # 3x+1 (A -- B of (i-1, j)) and 3x+2 (A -- B of (i, j-1)); its other three
     # edges belong to its neighbours at +30 degrees (i+1, j) and above (i+1, j-1)

@@ -85,6 +85,13 @@ def test_build_requires_exactly_one_spec():
     assert proc.returncode == 2
 
 
+def test_build_without_a_spec_exits_2():
+    proc = run_cli("build")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "one of the arguments --square --hex-apothem --hex-edge is required" in proc.stderr
+
+
 def test_build_rejects_bad_lambda():
     proc = run_cli("build", "--hex-edge", "4")
     assert proc.returncode == 2

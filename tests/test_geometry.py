@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from atqc.catalog import family_params
 from atqc.errors import InputError
 from atqc.geometry import (
     EUCLIDEAN,
@@ -99,6 +100,21 @@ def test_census_examples(p, q, g, n_f, n_f_star, n_edges):
 def test_census_rejects_genus_1():
     with pytest.raises(InputError, match="^census needs genus >= 2, got 1$"):
         census(SchlafliPair(8, 3), 1)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SchlafliPair(7.5, 3), "Schlafli p must be an integer, got 7.5"),
+    (lambda: SchlafliPair(7, True), "Schlafli q must be an integer, got True"),
+    (lambda: SchlafliPair("7", 3), "Schlafli p must be an integer, got '7'"),
+    (lambda: fundamental_diameter(2.5), "genus must be an integer, got 2.5"),
+    (lambda: distance_bounds(SchlafliPair(7, 3), 2.5), "genus must be an integer, got 2.5"),
+    (lambda: census(SchlafliPair(7, 3), 2.5), "genus must be an integer, got 2.5"),
+    (lambda: family_params(SchlafliPair(7, 3), 2.5), "genus must be an integer, got 2.5"),
+], ids=["p-float", "q-bool", "p-str", "diameter", "bounds", "census", "params"])
+def test_non_integers_rejected(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_census_rejects_euclidean():

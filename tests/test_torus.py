@@ -9,8 +9,10 @@ from atqc.complexes import save_complex
 from atqc.errors import IntegrityError, InputError
 from atqc.torus import (
     APOTHEM,
+    EDGE,
     HexTorusSpec,
     SquareTorusSpec,
+    _cells,
     _check_edges,
     build_hex_torus,
     build_square_torus,
@@ -75,6 +77,43 @@ def test_hex_apothem_degenerate_flagged_not_rejected():
 @pytest.mark.parametrize("xi", [2, 3, 4])
 def test_hex_non_degenerate_at_scale_two_plus(xi):
     assert build_hex_torus(HexTorusSpec("apothem", xi)).degenerate_faces == ()
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: SquareTorusSpec(2.5), "square torus side must be an integer, got 2.5"),
+    (lambda: SquareTorusSpec("3"), "square torus side must be an integer, got '3'"),
+    (lambda: SquareTorusSpec(True), "square torus side must be an integer, got True"),
+    (lambda: HexTorusSpec(APOTHEM, True), "hex torus scale must be an integer, got True"),
+    (lambda: HexTorusSpec(EDGE, 6.0), "hex torus scale must be an integer, got 6.0"),
+], ids=["square-float", "square-str", "square-bool", "apothem-bool", "edge-float"])
+def test_specs_reject_non_integers(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec,lattice", [
+    (SquareTorusSpec(5), (5, 0, 5)),
+    (HexTorusSpec(APOTHEM, 4), (4, 0, 4)),
+    (HexTorusSpec(EDGE, 9), (9, 3, 3)),
+], ids=["square", "apothem", "edge"])
+def test_specs_name_their_lattice(spec, lattice):
+    assert spec.lattice == lattice
+
+
+@pytest.mark.parametrize("lattice", [
+    SquareTorusSpec(2).lattice, SquareTorusSpec(5).lattice,
+    HexTorusSpec(APOTHEM, 1).lattice, HexTorusSpec(APOTHEM, 4).lattice,
+    HexTorusSpec(EDGE, 3).lattice, HexTorusSpec(EDGE, 12).lattice,
+    (5, 2, 1), (7, 2, 1), (13, 5, 1), (6, 3, 3), (4, 2, 2), (9, 4, 2),
+], ids=str)
+def test_cells_number_one_fundamental_domain(lattice):
+    a, b, c = lattice
+    cell = _cells(lattice, 1, "lattice")
+    assert sorted(cell(i, j) for i in range(a) for j in range(c)) == list(range(a * c))
+    for i in range(-a, 2 * a):
+        for j in range(-c, 2 * c):
+            assert cell(i + a, j) == cell(i, j) == cell(i + b, j + c)
 
 
 def test_unknown_variant_rejected():
