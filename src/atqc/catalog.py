@@ -12,10 +12,10 @@ from fractions import Fraction
 from math import gcd, sqrt
 from typing import IO, Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, _as_int
 from .geometry import SchlafliPair, census, census_counts, distance_bounds, edge_length
 from .geometry import fundamental_diameter, guarded_ceil
-from .torus import APOTHEM, HexTorusSpec
+from .torus import APOTHEM, EDGE, HexTorusSpec
 
 BOUND = "bound"
 
@@ -74,6 +74,8 @@ def toric_family_params(spec: HexTorusSpec) -> CodeParams:
     are attained is checked against the exact search per instance, never
     assumed.
     """
+    if not isinstance(spec, HexTorusSpec):
+        raise InputError(f"toric params need a hex preset, {APOTHEM} or {EDGE}: got {spec!r}")
     a, _, c = spec.lattice
     n, s = 3 * a * c, spec.scale
     if spec.variant == APOTHEM:
@@ -130,14 +132,6 @@ def fixed_pair_rate(pair: SchlafliPair) -> Fraction:
     return Fraction(denom, p * q)
 
 
-def pair_coefficients(pair: SchlafliPair) -> tuple[int, int, int]:
-    """(n_f, n_f*, n) as integer multiples of (g-1); requires divisibility."""
-    cen = census(pair, 2)
-    if not cen.feasible:
-        raise InputError(f"{pair} census coefficients are not integers")
-    return int(cen.n_f), int(cen.n_f_star), int(cen.n_edges)
-
-
 TABLE_COLUMNS = (
     "table,pair,n_f,n_f_star,n,k,d_z_bound,d_x_bound,rate,edge_length,dual_edge_length"
 ).split(",")
@@ -164,7 +158,7 @@ def emit_tables(sink: IO[str]) -> None:
             ]
         )
     for pair in TABLE2_PAIRS:
-        n_f, n_f_star, n = pair_coefficients(pair)
+        n_f, n_f_star, n = census_counts(pair, 2)
         l_pq = edge_length(pair)
         l_qp = edge_length(pair.dual)
         rate = fixed_pair_rate(pair)
@@ -201,7 +195,7 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
     """
     genera = set()
     for g in g_range:
-        if not 2 <= g <= 64:
+        if not 2 <= _as_int(g, "genus") <= 64:
             raise InputError(f"genus range must lie within 2..64, got genus {g}")
         genera.add(g)
     if not genera:

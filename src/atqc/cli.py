@@ -231,7 +231,3 @@ def main(argv: list[str] | None = None) -> int:
     except AtqcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

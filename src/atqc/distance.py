@@ -53,8 +53,8 @@ from itertools import combinations, compress
 
 from .binmat import RowBasis
 from .complexes import SurfaceComplex
-from .errors import DiscrepancyError, InputError, IntegrityError
-from .homology import cocycle_basis, homology_signature, is_cycle, mask_to_edges
+from .errors import DiscrepancyError, InputError, IntegrityError, _as_int
+from .homology import _close, cocycle_basis, homology_signature, is_cycle, mask_to_edges
 from .stabilizer import CssCode, _find, build_css
 
 DEFAULT_ORACLE_CEILING = 30
@@ -151,12 +151,7 @@ def shortest_nontrivial_cycle(c: SurfaceComplex, dual: bool = False) -> tuple[in
                     elif dw >= d and d + dw + 1 < best_weight and su ^ sig[w] ^ sig_delta[eidx]:
                         # the tree paths may share a prefix, which XOR cancels, so
                         # the mask is no heavier than its walk: strictly lighter
-                        best_witness = 1 << eidx
-                        for x in (u, w):
-                            while (e := up_edge[x]) >= 0:
-                                best_witness ^= 1 << e
-                                a, b = ends[e]
-                                x ^= a ^ b  # the other end of a tree edge
+                        best_witness = _close(eidx, ends, up_edge)
                         best_weight = best_witness.bit_count()
             frontier = nxt
             d += 1
@@ -204,10 +199,14 @@ def _min_coset_weight(kernel_of: list[int], modulo_rows: list[int], k_expected: 
     return best
 
 
+def _check_ceiling(ceiling: int) -> None:
+    if _as_int(ceiling, "oracle ceiling") < 0:
+        raise InputError(f"oracle ceiling must be >= 0, got {ceiling}")
+
+
 def oracle_distances(code: CssCode, ceiling: int = DEFAULT_ORACLE_CEILING) -> tuple[int, int]:
     """Ground-truth (d_x, d_z) by exhaustive kernel enumeration; n <= ceiling only."""
-    if ceiling < 0:
-        raise InputError(f"oracle ceiling must be >= 0, got {ceiling}")
+    _check_ceiling(ceiling)
     if code.n > ceiling:
         raise InputError(
             f"oracle refused: n={code.n} exceeds the {ceiling}-edge ceiling "
@@ -225,8 +224,7 @@ def certified_distances(c: SurfaceComplex, ceiling: int = DEFAULT_ORACLE_CEILING
     are findings, never silenced.  A negative ceiling raises
     :class:`InputError`; a ceiling of 0 never runs the oracle.
     """
-    if ceiling < 0:
-        raise InputError(f"oracle ceiling must be >= 0, got {ceiling}")
+    _check_ceiling(ceiling)
     result = code_distances(c)
     if c.num_edges <= ceiling:
         d_x, d_z = oracle_distances(build_css(c), ceiling)

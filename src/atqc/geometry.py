@@ -132,7 +132,7 @@ def distance_bounds(pair: SchlafliPair, g: int) -> tuple[int, int]:
 
     Not a lower bound on the exact distances: some codes fall below it."""
     _require_hyperbolic(pair)
-    if g < 2:
+    if _as_int(g, "genus") < 2:
         raise InputError(f"distance bounds need genus >= 2, got {g}")
     d_h = fundamental_diameter(g)
     d_x = guarded_ceil(d_h / edge_length(pair))

@@ -135,16 +135,13 @@ def _bfs_tree(adjacency: list, skip=()) -> list:
     return up
 
 
-def _close(x: int, bit: int, ends: list, up: list, words: list) -> int:
-    """Edge x closed by the tree paths from its two ends, as a mask (a shared
-    prefix cancels); toggles ``bit`` in the word of every edge it walks."""
+def _close(x: int, ends: list, up: list) -> int:
+    """Edge x closed by the tree paths from its two ends up to the root, where
+    ``up`` is -1, as a mask (a shared prefix cancels)."""
     mask = 1 << x
-    words[x] ^= bit
     for y in ends[x]:
-        while y:
-            e = up[y]
+        while (e := up[y]) >= 0:
             mask ^= 1 << e
-            words[e] ^= bit
             u, v = ends[e]
             y ^= u ^ v  # the other end of a tree edge, never a loop
     return mask
@@ -177,10 +174,14 @@ def cycle_cocycle_bases(c: SurfaceComplex) -> tuple[tuple[int, ...], tuple[int, 
             f"tree/co-tree leaves {len(leftover)} edges, expected {2 * c.genus}"
         )
 
+    cocycles, cycles = bases = [[_close(x, *side) for x in leftover]
+                                for side in ((dual_ends, cotree), (ends, tree))]
     # words[0][e] bit i: cocycle i holds edge e; words[1][e] bit i: cycle i does
     words = ([0] * n, [0] * n)
-    cocycles = [_close(x, 1 << i, dual_ends, cotree, words[0]) for i, x in enumerate(leftover)]
-    cycles = [_close(x, 1 << i, ends, tree, words[1]) for i, x in enumerate(leftover)]
+    for word, basis in zip(words, bases):
+        for i, mask in enumerate(basis):
+            for e in support(mask):
+                word[e] ^= 1 << i
     sums = [0] * len(dual_graph)
     for (f, g), word in compress(zip(dual_ends, words[0]), words[0]):
         sums[f] ^= word

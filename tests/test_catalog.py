@@ -13,7 +13,6 @@ from atqc.catalog import (
     emit_tables,
     family_params,
     fixed_pair_rate,
-    pair_coefficients,
     toric_family_params,
 )
 from atqc.errors import InputError
@@ -26,7 +25,7 @@ from atqc.geometry import (
     edge_length,
     fundamental_diameter,
 )
-from atqc.torus import HexTorusSpec
+from atqc.torus import HexTorusSpec, SquareTorusSpec
 from conftest import table1_value
 
 FIXED_PAIR_RATES = {
@@ -123,9 +122,17 @@ def test_toric_family_params():
     assert (e6.n, e6.k, e6.d_x, e6.d_z) == (36, 2, 6, 4)
 
 
+def test_toric_family_params_rejects_the_square_preset():
+    with pytest.raises(InputError) as exc:
+        toric_family_params(SquareTorusSpec(4))
+    assert str(exc.value) == (
+        "toric params need a hex preset, apothem or edge: got SquareTorusSpec(side=4)"
+    )
+
+
 def test_pair_coefficients():
-    assert pair_coefficients(SchlafliPair(7, 3)) == (12, 28, 42)
-    assert pair_coefficients(SchlafliPair(10, 5)) == (1, 2, 5)
+    assert census_counts(SchlafliPair(7, 3), 2) == (12, 28, 42)
+    assert census_counts(SchlafliPair(10, 5), 2) == (1, 2, 5)
 
 
 def table_rows():
@@ -210,6 +217,15 @@ def test_curves_rejects_bad_range():
         emit_curves([SchlafliPair(7, 3)], range(0, 3), io.StringIO())
     with pytest.raises(InputError):
         emit_curves([SchlafliPair(7, 3)], [], io.StringIO())
+
+
+@pytest.mark.parametrize("genus", ["3", 2.5, None, True])
+def test_curves_reject_a_genus_that_is_not_an_integer(genus):
+    sink = io.StringIO()
+    with pytest.raises(InputError) as exc:
+        emit_curves([SchlafliPair(7, 3)], [2, genus], sink)
+    assert str(exc.value) == f"genus must be an integer, got {genus!r}"
+    assert sink.getvalue() == ""
 
 
 def test_curves_reject_a_long_range_as_they_read_it():

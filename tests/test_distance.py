@@ -130,6 +130,15 @@ def test_certified_distances_rejects_a_negative_ceiling(ingested_genus2):
         oracle_distances(build_css(ingested_genus2), -1)
 
 
+@pytest.mark.parametrize("ceiling", ["3", 2.5, None, True])
+def test_distances_reject_a_ceiling_that_is_not_an_integer(ingested_genus2, ceiling):
+    message = f"^oracle ceiling must be an integer, got {ceiling!r}$"
+    with pytest.raises(InputError, match=message):
+        certified_distances(ingested_genus2, ceiling)
+    with pytest.raises(InputError, match=message):
+        oracle_distances(build_css(ingested_genus2), ceiling)
+
+
 @dataclass(frozen=True)
 class FormulaComparison:
     """Exact distances of a built hexagonal torus next to the ceiling formulas."""

@@ -108,9 +108,10 @@ def test_census_rejects_genus_1():
     (lambda: SchlafliPair("7", 3), "Schlafli p must be an integer, got '7'"),
     (lambda: fundamental_diameter(2.5), "genus must be an integer, got 2.5"),
     (lambda: distance_bounds(SchlafliPair(7, 3), 2.5), "genus must be an integer, got 2.5"),
+    (lambda: distance_bounds(SchlafliPair(7, 3), "3"), "genus must be an integer, got '3'"),
     (lambda: census(SchlafliPair(7, 3), 2.5), "genus must be an integer, got 2.5"),
     (lambda: family_params(SchlafliPair(7, 3), 2.5), "genus must be an integer, got 2.5"),
-], ids=["p-float", "q-bool", "p-str", "diameter", "bounds", "census", "params"])
+], ids=["p-float", "q-bool", "p-str", "diameter", "bounds", "bounds-str", "census", "params"])
 def test_non_integers_rejected(call, message):
     with pytest.raises(InputError) as exc:
         call()

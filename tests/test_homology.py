@@ -109,10 +109,9 @@ def _open_walks(monkeypatch, tree_nodes: int) -> None:
     it closes no cycle (primal tree) or cocycle (co-tree)."""
     close = homology._close
 
-    def open_walk(x, bit, ends, up, words):
-        mask = close(x, bit, ends, up, words)
+    def open_walk(x, ends, up):
+        mask = close(x, ends, up)
         if len(up) == tree_nodes:
-            words[x] ^= bit
             mask ^= 1 << x
         return mask
 
