@@ -7,10 +7,9 @@ family rows take p -> infinity at fixed q (rates (q-2)/q), while a fixed
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, sqrt
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .errors import InputError, _as_int
 from .geometry import SchlafliPair, census, census_counts, distance_bounds, edge_length
@@ -20,8 +19,7 @@ from .torus import APOTHEM, EDGE, HexTorusSpec
 BOUND = "bound"
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     """An [[n, k, d_z/d_x]] record; its distances are bounds."""
 
     pair: SchlafliPair
@@ -34,16 +32,8 @@ class CodeParams:
     rate: Fraction
 
     def to_dict(self) -> dict:
-        return {
-            "pair": [self.pair.p, self.pair.q],
-            "g": self.g,
-            "n": self.n,
-            "k": self.k,
-            "d_x": self.d_x,
-            "d_z": self.d_z,
-            "exactness": self.exactness,
-            "rate": f"{self.rate.numerator}/{self.rate.denominator}",
-        }
+        r = self.rate
+        return {**self._asdict(), "pair": list(self.pair), "rate": f"{r.numerator}/{r.denominator}"}
 
 
 def _infeasible(pair: SchlafliPair, g: int) -> InputError:
@@ -87,8 +77,7 @@ def toric_family_params(spec: HexTorusSpec) -> CodeParams:
     )
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """A fixed-q family {p,q}: symbolic census formulas and asymptotic rate."""
 
     q: int
@@ -125,7 +114,7 @@ TABLE2_PAIRS: tuple[SchlafliPair, ...] = (
 
 def fixed_pair_rate(pair: SchlafliPair) -> Fraction:
     """Limit of k/n = 2g/(c(g-1)) as g -> infinity for a fixed hyperbolic pair."""
-    p, q = pair.p, pair.q
+    p, q = pair
     denom = p * q - 2 * p - 2 * q
     if denom <= 0:
         raise InputError(f"{pair} is not hyperbolic")

@@ -14,7 +14,6 @@ import json
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict
 from functools import cache, partial
 from typing import IO, Callable
 
@@ -112,7 +111,7 @@ def cmd_distance(args) -> int:
     c = _load(args.file)
     result = certified_distances(c, args.oracle_ceiling)
     oracle = {"ran": result.method == BOTH_AGREE, "n": c.num_edges, "ceiling": args.oracle_ceiling}
-    _emit({**asdict(result), "oracle": oracle})
+    _emit({**result._asdict(), "oracle": oracle})
     return EXIT_OK
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from itertools import chain, compress, count
 from operator import itemgetter
 from typing import IO
@@ -41,7 +40,6 @@ from typing import IO
 from .errors import ComplexError, _as_int
 
 
-@dataclass(eq=False)
 class ComplexIndex:
     """The dense numbering of one complex, shared by every algebraic layer.
 
@@ -64,18 +62,15 @@ class ComplexIndex:
     sees it too.  Nothing mutates what the index hands out.
     """
 
-    edge_ids: tuple[int, ...]
-    bit: dict[int, int]
-    vertex_ids: tuple[int, ...]
-    face_ids: tuple[int, ...]
-    ends: tuple[list, list]
-    alpha: list[int]
-    phi: list[int]
-    dart_vertex: list[int]
-    dart_face: list[int]
-    sides: tuple | None = None
-    bases: tuple | None = None
-    orbits: tuple | None = None
+    __slots__ = ("edge_ids", "bit", "vertex_ids", "face_ids", "ends", "alpha", "phi",
+                 "dart_vertex", "dart_face", "sides", "bases", "orbits")
+
+    def __init__(self, edge_ids: tuple, bit: dict, vertex_ids: tuple, face_ids: tuple,
+                 ends: tuple[list, list], alpha: list, phi: list, dart_vertex: list, dart_face: list):
+        self.edge_ids, self.bit, self.vertex_ids, self.face_ids = edge_ids, bit, vertex_ids, face_ids
+        self.ends, self.alpha, self.phi = ends, alpha, phi
+        self.dart_vertex, self.dart_face = dart_vertex, dart_face
+        self.sides = self.bases = self.orbits = None
 
 
 def _sorted_ids(ids, what: str) -> tuple:

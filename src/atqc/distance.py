@@ -31,12 +31,13 @@ Two independent routes:
   :func:`map_orbits` finds the orbits.  A map is rigid: an automorphism
   (psi commutes with alpha and phi) is fixed by one dart's image, so
   whether dart d0 at vertex 0 goes to d is one O(E) walk.  Vertices not
-  yet joined to vertex 0 are visited in dense order and each dart at one
-  is tried; an automorphism found joins every vertex and face to its
-  image in a union-find.  The first vertex with no extending dart ends
-  the sweep; faces follow likewise if anything was found.  Any subgroup
-  is sound.  A vertex-transitive torus costs a few walks and one root per
-  side; a map with no symmetry, deg(v) failed walks and all V roots.
+  yet in vertex 0's orbit are visited in dense order and each dart at one
+  is tried; an automorphism found is read once as its vertex and face
+  images, and the orbits are the closure of all images found so far.
+  The first vertex with no extending dart ends the sweep; faces follow
+  likewise if anything was found.  Any subgroup is sound.  A
+  vertex-transitive torus costs a few walks and one root per side; a map
+  with no symmetry, deg(v) failed walks and all V roots.
 * :func:`oracle_distances` takes the minimum weight of ker(hz) outside
   rowspace(hx), and the reverse, from the check matrices alone.  It sums
   j kernel basis vectors for j = 1, 2, ... and stops once j reaches the
@@ -47,15 +48,15 @@ Two independent routes:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import combinations, compress
+from typing import NamedTuple
 
 from .binmat import RowBasis
 from .complexes import SurfaceComplex
 from .errors import DiscrepancyError, InputError, IntegrityError, _as_int
 from .homology import _close, cocycle_basis, homology_signature, is_cycle, mask_to_edges
-from .stabilizer import CssCode, _find, build_css
+from .stabilizer import CssCode, build_css
 
 DEFAULT_ORACLE_CEILING = 30
 
@@ -63,8 +64,7 @@ SEARCH = "search"
 BOTH_AGREE = "both-agree"
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     d_x: int
     d_z: int
     witness_x: tuple[int, ...]
@@ -90,6 +90,20 @@ def _extend(alpha: list[int], phi: list[int], d0: int, d: int) -> list[int] | No
     return psi
 
 
+def _orbit_minima(images: list[list[int]], m: int) -> list[int]:
+    """Each of cells 0..m-1 mapped to the least cell of its orbit under ``images``."""
+    low = [-1] * m
+    for i in range(m):
+        if low[i] < 0:
+            low[i], orbit = i, [i]
+            for x in orbit:  # reads what it appends, so it runs until the orbit is closed
+                for image in images:
+                    if low[y := image[x]] < 0:
+                        low[y] = i
+                        orbit.append(y)
+    return low
+
+
 def map_orbits(c: SurfaceComplex) -> tuple[list[list[int]], list[int], list[int]]:
     """(automorphisms found as dart permutations, vertex roots, face roots), roots ascending."""
     ix = c.index
@@ -99,23 +113,25 @@ def map_orbits(c: SurfaceComplex) -> tuple[list[list[int]], list[int], list[int]
         # reps[0][i] is a dart at vertex i, reps[1][i] one on face i
         reps = [list(map(dict(zip(cell, range(n))).__getitem__, range(len(ids))))
                 for cell, ids in zip(cells, (ix.vertex_ids, ix.face_ids))]
-        ups, found = [list(range(len(rep))) for rep in reps], []
-        for side, (cell, rep, up) in enumerate(zip(cells, reps, ups)):
+        # images[side][k][i] is the cell that found[k] takes cell i to
+        images, found = ([], []), []
+        for side, (cell, rep, imgs) in enumerate(zip(cells, reps, images)):
             if side and not found:
                 break
-            for i in range(1, len(up)):
-                if _find(up, i) == 0:
+            low = _orbit_minima(imgs, len(rep))
+            for i in range(1, len(rep)):
+                if low[i] == 0:
                     continue
                 darts = compress(range(n), map(i.__eq__, cell))  # the darts at cell i
                 psi = next(filter(None, (_extend(alpha, phi, rep[0], d) for d in darts)), None)
                 if psi is None:
                     break  # no dart at cell i extends: the sweep ends
                 found.append(psi)
-                for of, r, u in zip(cells, reps, ups):
-                    for j, t in enumerate(map(of.__getitem__, map(psi.__getitem__, r))):
-                        a, b = _find(u, j), _find(u, t)
-                        u[max(a, b)] = min(a, b)
-        ix.orbits = (found, *([i for i, p in enumerate(u) if p == i] for u in ups))
+                for of, r, side_imgs in zip(cells, reps, images):
+                    side_imgs.append(list(map(of.__getitem__, map(psi.__getitem__, r))))
+                low = _orbit_minima(imgs, len(rep))
+        ix.orbits = (found, *([i for i, m in enumerate(_orbit_minima(imgs, len(r))) if m == i]
+                              for imgs, r in zip(images, reps)))
     return ix.orbits
 
 
@@ -168,13 +184,7 @@ def code_distances(c: SurfaceComplex) -> DistanceResult:
     """Exact d_x (primal graph) and d_z (face adjacency) with validated witnesses."""
     d_x, wx = shortest_nontrivial_cycle(c)
     d_z, wz = shortest_nontrivial_cycle(c, dual=True)
-    return DistanceResult(
-        d_x=d_x,
-        d_z=d_z,
-        witness_x=mask_to_edges(c, wx),
-        witness_z=mask_to_edges(c, wz),
-        method=SEARCH,
-    )
+    return DistanceResult(d_x, d_z, mask_to_edges(c, wx), mask_to_edges(c, wz), SEARCH)
 
 
 def _min_coset_weight(kernel_of: list[int], modulo_rows: list[int], k_expected: int) -> int:
@@ -233,5 +243,5 @@ def certified_distances(c: SurfaceComplex, ceiling: int = DEFAULT_ORACLE_CEILING
                 f"search found (d_x, d_z) = ({result.d_x}, {result.d_z}) but the "
                 f"oracle found ({d_x}, {d_z}) on {c.label!r}"
             )
-        return replace(result, method=BOTH_AGREE)
+        return result._replace(method=BOTH_AGREE)
     return result

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the integer gate, shared across the toolkit."""
+"""Exception hierarchy, the integer gate and the checked-record base, shared across the toolkit."""
 
 
 class AtqcError(Exception):
@@ -26,3 +26,14 @@ def _as_int(value, what: str, error: type[AtqcError] = InputError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, got {value!r}")
     return value
+
+
+class _Checked:
+    """Base of a NamedTuple subclass whose ``__new__`` checks its fields.  NamedTuple's
+    ``_make``, which its ``_replace`` calls, skips ``__new__``; this one builds through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -8,10 +8,10 @@ an exact integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import InputError, _as_int
+from .errors import InputError, _Checked, _as_int
 
 SPHERICAL = "spherical"
 EUCLIDEAN = "euclidean"
@@ -21,16 +21,15 @@ HYPERBOLIC = "hyperbolic"
 CEILING_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class SchlafliPair:
+class SchlafliPair(_Checked, NamedTuple("SchlafliPair", [("p", int), ("q", int)])):
     """A {p,q} tessellation: p-gonal faces, q around each vertex."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(_as_int(self.p, "Schlafli p"), _as_int(self.q, "Schlafli q")) < 3:
-            raise InputError(f"Schlafli symbol needs p, q >= 3, got {{{self.p},{self.q}}}")
+    def __new__(cls, p: int, q: int):
+        if min(_as_int(p, "Schlafli p"), _as_int(q, "Schlafli q")) < 3:
+            raise InputError(f"Schlafli symbol needs p, q >= 3, got {{{p},{q}}}")
+        return super().__new__(cls, p, q)
 
     @property
     def dual(self) -> "SchlafliPair":
@@ -45,8 +44,7 @@ class SchlafliPair:
         return f"{{{self.p},{self.q}}}"
 
 
-@dataclass(frozen=True)
-class TessellationCensus:
+class TessellationCensus(NamedTuple):
     """Exact face/vertex/edge counts for {p,q} on a genus-g surface."""
 
     n_f: Fraction
@@ -73,7 +71,7 @@ def _require_hyperbolic(pair: SchlafliPair) -> None:
 def edge_length(pair: SchlafliPair) -> float:
     """Edge length of a hyperbolic {p,q} tessellation."""
     _require_hyperbolic(pair)
-    p, q = pair.p, pair.q
+    p, q = pair
     try:
         arg = (math.cos(math.pi / q) ** 2 + math.cos(2 * math.pi / p)) / math.sin(math.pi / q) ** 2
     except (OverflowError, ZeroDivisionError):  # p or q too large for a float
@@ -101,7 +99,7 @@ def census_counts(pair: SchlafliPair, g: int) -> tuple[int, int, int] | None:
     too (c is odd when p and q are, so 4 divides n_f).  The caller checks,
     as census does, that the pair is hyperbolic (c > 0) and g >= 2.
     """
-    p, q = pair.p, pair.q
+    p, q = pair
     c, m = p * q - 2 * p - 2 * q, 4 * (g - 1)
     if q * m % c or p * m % c:
         return None
@@ -113,7 +111,7 @@ def census(pair: SchlafliPair, g: int) -> TessellationCensus:
     _require_hyperbolic(pair)
     if _as_int(g, "genus") < 2:
         raise InputError(f"census needs genus >= 2, got {g}")
-    p, q = pair.p, pair.q
+    p, q = pair
     c, m = p * q - 2 * p - 2 * q, 4 * (g - 1)
     counts = Fraction(q * m, c), Fraction(p * m, c), Fraction(p * q * m, 2 * c)
     return TessellationCensus(*counts, feasible=census_counts(pair, g) is not None)

@@ -41,11 +41,10 @@ primal cycle basis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import xor
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .binmat import BinaryMatrix, support
 from .complexes import SurfaceComplex
@@ -80,8 +79,7 @@ def mask_to_edges(c: SurfaceComplex, mask: int) -> tuple[int, ...]:
     return tuple(order[i] for i in support(_edge_set(c, mask)))
 
 
-@dataclass(frozen=True)
-class ChainComplexZ2:
+class ChainComplexZ2(NamedTuple):
     """Boundary operators d2: C2 -> C1 and d1: C1 -> C0 over Z2.
 
     d2 is |E| x |F| (column f = boundary of face f); d1 is |V| x |E|

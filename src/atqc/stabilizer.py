@@ -12,10 +12,9 @@ logical X and dual cycles for logical Z, paired as the identity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from collections import Counter
 from itertools import chain, product
-from typing import IO
+from typing import IO, NamedTuple
 
 from .binmat import BinaryMatrix, columns_of, support
 from .complexes import SurfaceComplex
@@ -27,8 +26,7 @@ JSON_FORMAT = "json"
 EXPORT_FORMATS = (ALIST, DENSE_TEXT, JSON_FORMAT)
 
 
-@dataclass(frozen=True)
-class CssCode:
+class CssCode(NamedTuple):
     """Hx/Hz parity-check pair over the dense edge index of one complex."""
 
     n: int
@@ -40,7 +38,7 @@ class CssCode:
     vertex_ids: tuple[int, ...]
     face_ids: tuple[int, ...]
     source_label: str = ""
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 def build_css(c: SurfaceComplex) -> CssCode:

@@ -22,25 +22,25 @@ under a gigabyte; square l = 256 would not.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import SurfaceComplex
-from .errors import InputError, _as_int
+from .errors import InputError, _Checked, _as_int
 
 APOTHEM = "apothem"
 EDGE = "edge"
 MAX_BUILD_EDGES = 65_536
 
 
-@dataclass(frozen=True)
-class SquareTorusSpec:
+class SquareTorusSpec(_Checked, NamedTuple("SquareTorusSpec", [("side", int)])):
     """An l x l square-lattice torus; l = 1 degenerates to loops and is rejected."""
 
-    side: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if _as_int(self.side, "square torus side") < 2:
-            raise InputError(f"square torus side must be >= 2, got {self.side}")
+    def __new__(cls, side: int):
+        if _as_int(side, "square torus side") < 2:
+            raise InputError(f"square torus side must be >= 2, got {side}")
+        return super().__new__(cls, side)
 
     @property
     def lattice(self) -> tuple[int, int, int]:
@@ -48,23 +48,22 @@ class SquareTorusSpec:
         return self.side, 0, self.side
 
 
-@dataclass(frozen=True)
-class HexTorusSpec:
+class HexTorusSpec(_Checked, NamedTuple("HexTorusSpec", [("variant", str), ("scale", int)])):
     """Hexagonal torus request: variant 'apothem' (scale = xi) or 'edge' (scale = lambda)."""
 
-    variant: str
-    scale: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variant not in (APOTHEM, EDGE):
-            raise InputError(f"unknown hex torus variant {self.variant!r}")
-        if _as_int(self.scale, "hex torus scale") < 1:
-            raise InputError(f"hex torus scale must be >= 1, got {self.scale}")
-        if self.variant == EDGE and self.scale % 3 != 0:
+    def __new__(cls, variant: str, scale: int):
+        if variant not in (APOTHEM, EDGE):
+            raise InputError(f"unknown hex torus variant {variant!r}")
+        if _as_int(scale, "hex torus scale") < 1:
+            raise InputError(f"hex torus scale must be >= 1, got {scale}")
+        if variant == EDGE and scale % 3 != 0:
             raise InputError(
-                f"edge-scaled hex torus requires 3 | lambda: lambda={self.scale} "
-                f"gives a non-integer face count {self.scale}^2/3"
+                f"edge-scaled hex torus requires 3 | lambda: lambda={scale} "
+                f"gives a non-integer face count {scale}^2/3"
             )
+        return super().__new__(cls, variant, scale)
 
     @property
     def lattice(self) -> tuple[int, int, int]:

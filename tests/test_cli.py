@@ -129,6 +129,35 @@ def test_distance_on_data_file():
     assert (doc["d_x"], doc["d_z"], doc["method"]) == (5, 2, "both-agree")
 
 
+DISTANCE_ON_DATA = """{
+ "d_x": 5,
+ "d_z": 2,
+ "method": "both-agree",
+ "oracle": {
+  "ceiling": 30,
+  "n": 24,
+  "ran": true
+ },
+ "witness_x": [
+  7,
+  11,
+  12,
+  14,
+  19
+ ],
+ "witness_z": [
+  0,
+  4
+ ]
+}
+"""
+
+
+def test_distance_on_data_file_writes_these_bytes():
+    proc = run_cli("distance", str(DATA))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", DISTANCE_ON_DATA)
+
+
 def test_check_rejects_corrupted_file(tmp_path):
     doc = json.loads(DATA.read_text())
     doc["faces"][0]["edge_cycle"] = doc["faces"][0]["edge_cycle"][1:]

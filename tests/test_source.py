@@ -1,5 +1,8 @@
 """Static checks over the library's source, read with ``ast``."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,38 @@ def test_an_unread_import_is_found():
         "    return sum(support(x)) + len(json.dumps(list(compress([x], [1]))))\n"
     )
     assert unread_imports(source) == ["os", "counter", "parity"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every absolute module a source imports, by its full dotted name."""
+    tree = ast.parse(source)
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    return names | {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    assert not {name for name in imported_modules(path.read_text())
+                if name.partition(".")[0] == "dataclasses"}
+
+
+def test_the_import_check_sees_both_spellings():
+    assert imported_modules("import dataclasses\nfrom dataclasses import field\nfrom . import x\n") == {
+        "dataclasses"}
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
+    """Run in a fresh interpreter beside a bare one, so what ``site`` preloads does not count."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                                      os.environ.get("PYTHONPATH")]))}
+
+    def loaded(statement: str) -> set[str]:
+        code = f"import sys\n{statement}\nprint(*sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return set(proc.stdout.split())
+
+    added = loaded("import atqc.cli") - loaded("pass")
+    assert "atqc.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast"}
