@@ -385,14 +385,21 @@ def complex_from_dict(doc: dict) -> SurfaceComplex:
     for key in ("vertices", "edges", "faces"):
         if not isinstance(doc[key], list):
             raise ComplexError(f"{key} must be a list")
-    vertices = _as_ids(doc["vertices"], "vertex id")
-    edges = _entries(doc["edges"], "edge", "ends", "must have exactly two ends", "edge end")
-    faces = _entries(doc["faces"], "face", "edge_cycle", "edge_cycle must be a list", "face edge")
-    return SurfaceComplex(doc["genus"], vertices, edges, faces, doc["label"])
+    return SurfaceComplex(doc["genus"], *_read_ids(doc), doc["label"])
+
+
+def _read_ids(doc: dict) -> tuple[list, dict, dict]:
+    """A document's vertices, edges and faces; an id that is not an int raises ComplexError."""
+    return (_as_ids(doc["vertices"], "vertex id"),
+            _entries(doc["edges"], "edge", "ends", "must have exactly two ends", "edge end"),
+            _entries(doc["faces"], "face", "edge_cycle", "edge_cycle must be a list", "face edge"))
 
 
 def save_complex(c: SurfaceComplex, sink: IO[str]) -> None:
-    json.dump(complex_to_dict(c), sink, indent=1, sort_keys=True)
+    """Writes c as JSON; an id that load_complex refuses raises its ComplexError first."""
+    doc = complex_to_dict(c)
+    _read_ids(doc)
+    json.dump(doc, sink, indent=1, sort_keys=True)
     sink.write("\n")
 
 

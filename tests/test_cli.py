@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from atqc import cli
+from atqc.complexes import load_complex
+from atqc.distance import certified_distances
 from atqc.errors import DiscrepancyError
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "hyperbolic_octagonal_genus2.json"
@@ -246,6 +248,21 @@ def test_discrepancy_exit_code(monkeypatch, capsys):
     rc = cli.main(["distance", str(DATA)])
     assert rc == 3
     assert "discrepancy" in capsys.readouterr().err
+
+
+def test_a_search_oracle_mismatch_is_a_discrepancy(monkeypatch, capsys):
+    """The comparison in certified_distances itself, with only the oracle's answer changed."""
+    monkeypatch.setattr("atqc.distance.oracle_distances", lambda code, ceiling: (6, 2))
+    message = ("search found (d_x, d_z) = (5, 2) but the oracle found (6, 2) "
+               "on '{8,3} genus-2 hyperbolic complex'")
+    with DATA.open() as fh:
+        c = load_complex(fh)
+    with pytest.raises(DiscrepancyError) as exc:
+        certified_distances(c)
+    assert str(exc.value) == message
+    assert cli.main(["distance", str(DATA)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"discrepancy: {message}\n"
 
 
 def test_oracle_ceiling_flag():

@@ -1,4 +1,5 @@
 import io
+import json
 from collections.abc import Mapping
 
 import pytest
@@ -133,6 +134,42 @@ def test_roundtrip_square_torus():
     save_complex(back, buf1)
     save_complex(roundtrip(back), buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def one_vertex_torus(vertex=0, edges=(0, 1), face=0, ends=None, cycle=None):
+    """The one-vertex torus under the given ids; ``ends`` and ``cycle`` replace edge 0's
+    ends and the face's edge cycle."""
+    a, b = edges
+    return SurfaceComplex(1, [vertex], {a: ends or (vertex, vertex), b: (vertex, vertex)},
+                          {face: cycle or (a, b, a, b)})
+
+
+@pytest.mark.parametrize("what, bad, ids", [
+    ("vertex id", "id000", {"vertex": "id000"}),
+    ("vertex id", (0,), {"vertex": (0,)}),
+    ("vertex id", None, {"vertex": None}),
+    ("vertex id", True, {"vertex": True}),
+    ("edge id", "a", {"edges": ("a", "b")}),
+    ("edge id", (0,), {"edges": ((0,), (1,))}),
+    ("edge id", True, {"edges": (0, True)}),
+    ("face id", "f", {"face": "f"}),
+    ("face id", (0,), {"face": (0,)}),
+    ("face id", None, {"face": None}),
+    ("face id", True, {"face": True}),
+    # an end or a face edge equal to an int id, but not an int itself
+    ("edge end", False, {"ends": (0, False)}),
+    ("face edge", True, {"cycle": (0, True, 0, 1)}),
+    ("face edge", 1.0, {"cycle": (0, 1.0, 0, 1)}),
+])
+def test_save_refuses_what_load_refuses_and_writes_nothing(what, bad, ids):
+    c = one_vertex_torus(**ids)
+    sink = io.StringIO()
+    with pytest.raises(ComplexError) as exc:
+        save_complex(c, sink)
+    assert str(exc.value) == f"{what} must be an integer, got {bad!r}"
+    assert sink.getvalue() == ""
+    with pytest.raises(ComplexError, match="must be an integer"):
+        load_complex(io.StringIO(json.dumps(complex_to_dict(c))))
 
 
 def test_unknown_key_rejected():

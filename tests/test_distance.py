@@ -12,7 +12,7 @@ from atqc.distance import (
     oracle_distances,
     shortest_nontrivial_cycle,
 )
-from atqc.errors import InputError
+from atqc.errors import InputError, IntegrityError
 from atqc.geometry import SchlafliPair, distance_bounds
 from atqc.homology import cocycle_basis, edges_to_mask, homology_signature, is_cycle
 from atqc.stabilizer import build_css
@@ -120,6 +120,25 @@ def test_certified_distances_method(ingested_genus2):
     assert r.method == "both-agree"
     big = build_hex_torus(HexTorusSpec("edge", 6))
     assert certified_distances(big).method == "search"
+
+
+def test_oracle_refuses_a_code_whose_k_disagrees_with_its_kernel(ingested_genus2):
+    code = build_css(ingested_genus2)
+    with pytest.raises(IntegrityError) as exc:
+        oracle_distances(code._replace(k=code.k + 2))
+    assert str(exc.value) == "kernel/rowspace quotient has dimension 4, expected 6"
+
+
+@pytest.mark.parametrize("close, message", [
+    (lambda c: lambda x, ends, up: 1 << x, "search witness is not a cycle"),
+    (lambda c: lambda x, ends, up: build_css(c).hx.data[0], "search witness is homologically trivial"),
+], ids=["one edge", "face 0's boundary"])
+def test_the_search_checks_its_witness(monkeypatch, close, message):
+    c = build_square_torus(SquareTorusSpec(3))
+    monkeypatch.setattr("atqc.distance._close", close(c))
+    with pytest.raises(IntegrityError) as exc:
+        shortest_nontrivial_cycle(c)
+    assert str(exc.value) == message
 
 
 def test_certified_distances_rejects_a_negative_ceiling(ingested_genus2):

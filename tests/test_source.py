@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "atqc"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unread_imports(source: str) -> list[str]:
@@ -66,17 +66,26 @@ def test_the_import_check_sees_both_spellings():
         "dataclasses"}
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
-    """Run in a fresh interpreter beside a bare one, so what ``site`` preloads does not count."""
+def loaded(statement: str) -> set[str]:
+    """The modules a fresh interpreter holds after running ``statement``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
                                                                       os.environ.get("PYTHONPATH")]))}
+    code = f"import sys\n{statement}\nprint(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return set(proc.stdout.split())
 
-    def loaded(statement: str) -> set[str]:
-        code = f"import sys\n{statement}\nprint(*sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              timeout=60, check=True)
-        return set(proc.stdout.split())
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
+    """Run in a fresh interpreter beside a bare one, so what ``site`` preloads does not count."""
     added = loaded("import atqc.cli") - loaded("pass")
     assert "atqc.cli" in added
     assert not added & {"dataclasses", "inspect", "ast"}
+
+
+def test_the_package_loads_no_module_and_each_module_only_what_it_imports():
+    """``atqc/__init__`` re-exports nothing, so no import loads atqc modules it does not need."""
+    bare = loaded("pass")
+    assert {m for m in loaded("import atqc") - bare if m.startswith("atqc")} == {"atqc"}
+    assert {m for m in loaded("import atqc.geometry") - bare if m.startswith("atqc")} == {
+        "atqc", "atqc.errors", "atqc.geometry"}
