@@ -177,10 +177,11 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
     Each closed form is computed once per call: a pair's two edge lengths,
     a genus's d_h and its text.  A row's bounds are the guarded ceilings of
     the raw ratios it prints (the floats distance_bounds divides) and its n
-    is the integer census, so no row builds a Fraction.  Every row is
-    computed before the header is written, so a pair that fails leaves the
-    sink empty.  The first genus outside 2..64 is rejected as the range is
-    read, so a long range costs no more than a short one.
+    is the integer census, so no row builds a Fraction.  Each row is one
+    format, and the pair's "{p,q}", the one field csv's minimal quoting
+    quotes, is quoted once per pair.  The CSV is written in one call once
+    every row is built, so a failing pair leaves the sink empty.  The first
+    genus outside 2..64 is rejected as the range is read.
     """
     genera = set()
     for g in g_range:
@@ -190,19 +191,17 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
     if not genera:
         raise InputError("empty genus range")
     diameters = [(g, d_h := fundamental_diameter(g), f"{d_h:.12g}") for g in sorted(genera)]
-    rows = []
+    rows = [",".join(CURVE_COLUMNS) + "\n"]
     for pair in pairs:
-        l_pq, l_qp, name = edge_length(pair), edge_length(pair.dual), str(pair)
+        l_pq, l_qp, name = edge_length(pair), edge_length(pair.dual), f'"{pair}"'
         for g, d_h, d_h_text in diameters:
             counts = census_counts(pair, g)
             if counts is None:
                 raise _infeasible(pair, g)
             n, k = counts[2], 2 * g
             dx_raw, dz_raw = d_h / l_pq, d_h / l_qp
-            d_x, d_z = guarded_ceil(dx_raw), guarded_ceil(dz_raw)
-            r = gcd(k, n)
-            raw = [f"{dx_raw:.12g}", f"{dz_raw:.12g}", f"{dx_raw - dz_raw:.12g}"]
-            rows.append([name, g, d_h_text, *raw, d_x, d_z, d_x - d_z, n, k, f"{k // r}/{n // r}"])
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(CURVE_COLUMNS)
-    writer.writerows(rows)
+            d_x, d_z, r = guarded_ceil(dx_raw), guarded_ceil(dz_raw), gcd(k, n)
+            rows.append("%s,%d,%s,%.12g,%.12g,%.12g,%d,%d,%d,%d,%d,%d/%d\n" % (
+                name, g, d_h_text, dx_raw, dz_raw, dx_raw - dz_raw,
+                d_x, d_z, d_x - d_z, n, k, k // r, n // r))
+    sink.write("".join(rows))

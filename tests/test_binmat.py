@@ -38,6 +38,12 @@ def test_constructor_masks_row_words_to_the_column_count():
         BinaryMatrix(2, 3, [0b101])
 
 
+@pytest.mark.parametrize("rows, cols", [(-1, 2), (2, -1)])
+def test_negative_dimensions_are_a_value_error(rows, cols):
+    with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+        BinaryMatrix(rows, cols)
+
+
 def edge_shapes():
     """No rows, no columns, 1 x 1, and seeded random matrices of up to 7 x 9."""
     rng = random.Random(23)

@@ -71,6 +71,13 @@ def test_fixed_pair_rates(pq, rate):
     assert fixed_pair_rate(SchlafliPair(*pq)) == rate
 
 
+@pytest.mark.parametrize("pq", [(6, 3), (4, 4), (3, 6)])
+def test_fixed_pair_rate_rejects_a_euclidean_pair(pq):
+    with pytest.raises(InputError) as raised:
+        fixed_pair_rate(SchlafliPair(*pq))
+    assert str(raised.value) == f"{{{pq[0]},{pq[1]}}} is not hyperbolic"
+
+
 def test_table1_formulas_match_census():
     # the formulas as `atqc table` prints them, evaluated at each member
     representatives = {3: [7, 8, 9, 10, 12], 4: [5, 6, 8], 5: [10], 6: [4, 5, 9]}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -218,6 +219,24 @@ def test_curves_csv(tmp_path):
     assert proc.returncode == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 3
+
+
+# The same two digests are pinned by the "Closed-form bytes" step of
+# .github/workflows/tests.yml; a change to either output must update both.
+TABLE2_PAIR_ARGS = [a for pq in ("7,3", "8,3", "9,3", "10,3", "12,3", "5,4", "6,4", "8,4", "10,5")
+                    for a in ("--pair", pq)]
+CLOSED_FORM_SHA256 = {
+    ("table",): "74fde0e6c754d5e85ae7512949fa321cc78c534f7214a730013f4f2762bd9f67",
+    ("curves", *TABLE2_PAIR_ARGS, "--g-from", "2", "--g-to", "64"):
+        "cf7bf2f9d30eb6f595538974136ac1a81ad80557b4d8e79bf3752a0079cffa9b",
+}
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_SHA256, ids=lambda argv: argv[0])
+def test_closed_form_csv_bytes_are_pinned(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLOSED_FORM_SHA256[argv]
 
 
 def test_curves_failing_pair_writes_nothing():

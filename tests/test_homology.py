@@ -7,7 +7,7 @@ import pytest
 from gluings import random_gluing
 
 from atqc import homology
-from atqc.binmat import RowBasis
+from atqc.binmat import BinaryMatrix, RowBasis
 from atqc.complexes import complex_from_dict, dual_complex
 from atqc.errors import InputError, IntegrityError
 from atqc.homology import (
@@ -140,6 +140,40 @@ def test_certificate_rejects_a_wrong_leftover_count(monkeypatch):
     c = build_hex_torus(HexTorusSpec("apothem", 2))
     monkeypatch.setattr(c, "genus", 2)
     _certificate_fails(c, "^tree/co-tree leaves 2 edges, expected 4$")
+
+
+@pytest.mark.parametrize(
+    "co_tree, message",
+    [
+        (False, "^primal graph is not connected$"),
+        (True, "^dual graph minus the spanning tree is not connected$"),
+    ],
+)
+def test_bases_reject_a_tree_that_does_not_span(monkeypatch, co_tree, message):
+    # the co-tree call is the one that skips the primal tree's edges
+    bfs_tree = homology._bfs_tree
+
+    def short_tree(adjacency, skip=()):
+        up = bfs_tree(adjacency, skip)
+        if bool(skip) == co_tree:
+            up[-1] = None
+        return up
+
+    monkeypatch.setattr(homology, "_bfs_tree", short_tree)
+    _certificate_fails(build_hex_torus(HexTorusSpec("apothem", 2)), message)
+
+
+def test_boundary_matrices_reject_a_nonzero_product(monkeypatch):
+    build_css = homology.build_css
+
+    def flipped(c):
+        code = build_css(c)
+        hz = code.hz
+        return code._replace(hz=BinaryMatrix(hz.rows, hz.cols, [hz.data[0] ^ 1, *hz.data[1:]]))
+
+    monkeypatch.setattr(homology, "build_css", flipped)
+    with pytest.raises(IntegrityError, match=r"^d1 \. d2 != 0; boundary construction is broken$"):
+        boundary_matrices(build_square_torus(SquareTorusSpec(3)))
 
 
 def test_square3_cocycles_are_parallel_edge_cuts():
