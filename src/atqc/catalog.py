@@ -6,7 +6,6 @@ family rows take p -> infinity at fixed q (rates (q-2)/q), while a fixed
 """
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 from math import gcd, sqrt
 from typing import IO, Iterable, NamedTuple, Sequence
@@ -127,45 +126,23 @@ TABLE_COLUMNS = (
 
 
 def emit_tables(sink: IO[str]) -> None:
-    """Regenerate both printed tables as one CSV (RFC 4180, header row)."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(TABLE_COLUMNS)
-    for q, fam in sorted(TABLE1_FAMILIES.items()):
-        writer.writerow(
-            [
-                "families",
-                f"{{p,{q}}}",
-                fam.n_f_formula,
-                fam.n_f_star_formula,
-                fam.n_formula,
-                "2g",
-                "ceil(d_h/l(q,p))",
-                "ceil(d_h/l(p,q))",
-                f"{fam.asymptotic_rate.numerator}/{fam.asymptotic_rate.denominator}",
-                "",
-                "",
-            ]
-        )
+    """Regenerate both printed tables as one CSV (RFC 4180, header row).
+
+    Each row is one format, as in emit_curves: the fields that hold a comma
+    (the pair and a family row's two distance formulas) are quoted, and the
+    CSV is written in one call once every row is built.
+    """
+    rows = [",".join(TABLE_COLUMNS) + "\n"]
+    for fam in sorted(TABLE1_FAMILIES.values()):  # (q, n_f, n_f*, n formulas), by q
+        r = fam.asymptotic_rate
+        rows.append('families,"{p,%d}",%s,%s,%s,2g,"ceil(d_h/l(q,p))","ceil(d_h/l(p,q))",%d/%d,,\n'
+                    % (*fam, r.numerator, r.denominator))
     for pair in TABLE2_PAIRS:
         n_f, n_f_star, n = census_counts(pair, 2)
-        l_pq = edge_length(pair)
-        l_qp = edge_length(pair.dual)
-        rate = fixed_pair_rate(pair)
-        writer.writerow(
-            [
-                "pairs",
-                str(pair),
-                f"{n_f}(g-1)",
-                f"{n_f_star}(g-1)",
-                f"{n}(g-1)",
-                "2g",
-                f"ceil(d_h/{l_qp:.4f})",
-                f"ceil(d_h/{l_pq:.4f})",
-                f"{rate.numerator}/{rate.denominator}",
-                f"{l_pq:.4f}",
-                f"{l_qp:.4f}",
-            ]
-        )
+        l_pq, l_qp, r = edge_length(pair), edge_length(pair.dual), fixed_pair_rate(pair)
+        rows.append('pairs,"%s",%d(g-1),%d(g-1),%d(g-1),2g,ceil(d_h/%.4f),ceil(d_h/%.4f),%d/%d,%.4f,%.4f\n'
+                    % (pair, n_f, n_f_star, n, l_qp, l_pq, r.numerator, r.denominator, l_pq, l_qp))
+    sink.write("".join(rows))
 
 
 CURVE_COLUMNS = "pair,g,d_h,dx_raw,dz_raw,diff_raw,dx_bound,dz_bound,diff_bound,n,k,rate".split(",")
@@ -178,10 +155,10 @@ def emit_curves(pairs: Sequence[SchlafliPair], g_range: Iterable[int], sink: IO[
     a genus's d_h and its text.  A row's bounds are the guarded ceilings of
     the raw ratios it prints (the floats distance_bounds divides) and its n
     is the integer census, so no row builds a Fraction.  Each row is one
-    format, and the pair's "{p,q}", the one field csv's minimal quoting
-    quotes, is quoted once per pair.  The CSV is written in one call once
-    every row is built, so a failing pair leaves the sink empty.  The first
-    genus outside 2..64 is rejected as the range is read.
+    format, and the pair's "{p,q}", its one field that holds a comma, is
+    quoted once per pair.  The CSV is written in one call once every row is
+    built, so a failing pair leaves the sink empty.  The first genus outside
+    2..64 is rejected as the range is read.
     """
     genera = set()
     for g in g_range:

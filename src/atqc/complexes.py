@@ -13,9 +13,10 @@ opposite ways, and the cycles of sigma = phi . alpha are the vertex
 rotations (``rotations``).  What no vertex decides (the direction of
 faces tied on only by loops, the order of a face alternating between two
 vertices) is read as stored, then reversed in turn while a vertex is
-pinched; README.md states the rule.  A complex that is not orientable,
-pinched, not connected, or whose Euler characteristic disagrees with its
-genus raises :class:`ComplexError`.  The dual swaps phi and sigma.
+pinched, at most 16 times (``_MAX_REVERSALS``); README.md states the
+rule.  A complex that is not orientable, pinched, not connected, or whose
+Euler characteristic disagrees with its genus raises
+:class:`ComplexError`.  The dual swaps phi and sigma.
 
 The JSON format accepted by :func:`load_complex`/:func:`save_complex`::
 
@@ -38,6 +39,9 @@ from operator import itemgetter
 from typing import IO
 
 from .errors import ComplexError, _as_int
+
+# the most pieces and alternating faces the reading reverses while a vertex is pinched
+_MAX_REVERSALS = 16
 
 
 class ComplexIndex:
@@ -269,11 +273,12 @@ class SurfaceComplex:
 
         # no vertex decides the direction of a piece after the first, nor the
         # order of an alternating face of four or more slots; while a vertex
-        # is pinched, reverse each in turn and keep it if it joins rotations
+        # is pinched, reverse each of the first _MAX_REVERSALS in turn and
+        # keep it if it joins rotations (each trial walks every dart)
         moves = [(p, 1) for p in pieces[1:]]
         moves += [((i,), 0) for i in compress(range(len(face_ids)), alternating)]
         rings, phi, owner = sigma_cycles()
-        for faces, turn in moves:
+        for faces, turn in moves[:_MAX_REVERSALS]:
             if len({v for v, _ in rings}) == len(rings):
                 break
             reverse(faces, turn)
@@ -286,6 +291,10 @@ class SurfaceComplex:
         for v, ring in rings:
             v = vertex_ids[v]
             if v in rotations:
+                if len(moves) > _MAX_REVERSALS:
+                    raise ComplexError(f"vertex {v} is pinched: it owns more than one rotation after "
+                                       f"{_MAX_REVERSALS} of the complex's {len(moves)} moves were tried "
+                                       "reversed, the most the reading tries")
                 hint = "; the faces no vertex orients were also read reversed" if moves else ""
                 raise ComplexError(f"vertex {v} is pinched: it owns more than one rotation{hint}")
             rotations[v] = ring

@@ -304,6 +304,33 @@ def test_one_vertex_torus_rotation():
         SurfaceComplex(1, [0], {0: (0, 0), 1: (0, 0)}, {0: (0, 0, 1, 1)})
 
 
+def bouquet_doc(k):
+    """k one-vertex tori on one vertex, declared genus 1: every face is a piece
+    and alternates, so the reading has 2k - 1 moves and vertex 0 stays pinched."""
+    return {"genus": 1, "label": f"bouquet of {k} tori", "vertices": [0],
+            "edges": [{"id": e, "ends": [0, 0]} for e in range(2 * k)],
+            "faces": [{"id": i, "edge_cycle": [2 * i, 2 * i + 1] * 2} for i in range(k)]}
+
+
+@pytest.mark.parametrize("k, message", [
+    (8, "rotation; the faces no vertex orients were also read reversed$"),  # 15 moves, all tried
+    (9, "rotation after 16 of the complex's 17 moves were tried reversed, the most the reading tries$"),
+])
+def test_a_bouquet_names_the_reversal_bound_only_past_it(k, message):
+    with pytest.raises(ComplexError, match="^vertex 0 is pinched: it owns more than one " + message):
+        complex_from_dict(bouquet_doc(k))
+
+
+def test_check_rejects_a_large_bouquet_quickly(tmp_path):
+    # 7,999 moves over 32,000 darts: trying every move walks every dart 7,999 times
+    path = tmp_path / "bouquet.json"
+    path.write_text(json.dumps(bouquet_doc(4000)))
+    proc = subprocess.run([sys.executable, "-m", "atqc", "check", str(path)], capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    assert "vertex 0 is pinched" in proc.stderr and "16 of the complex's 7999 moves" in proc.stderr
+
+
 # -- malformed documents ---------------------------------------------------
 
 JUNK = ["x", None, 1.5, True, [], {}, -1, 10**6, [0, 1, 2]]
